@@ -52,7 +52,6 @@ from .search import (
     NonregularProblem,
     QVector,
     SearchResult,
-    continuous_pso_reference,
     fish_patty_problem,
     mix_nonregular,
     mix_regular,

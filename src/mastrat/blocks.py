@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 INF = math.inf
 
@@ -39,9 +39,9 @@ class AmbiguousOrderError(ValueError):
     """Incomparable strata tie and no tiebreak data was supplied."""
 
 
-def _canonical(classes: Sequence[int]) -> tuple[int, ...]:
+def _canonical(classes: Sequence[Hashable]) -> tuple[int, ...]:
     """Relabel classes by first occurrence; equivalence-invariant form."""
-    relabel: dict[int, int] = {}
+    relabel: dict[Hashable, int] = {}
     out = []
     for c in classes:
         if c not in relabel:
@@ -105,7 +105,7 @@ def finer_or_equal(f: UnitFactor, g: UnitFactor) -> bool:
 def inf_factor(f: UnitFactor, g: UnitFactor, name: str = "") -> UnitFactor:
     """Infimum: the common refinement of the two partitions."""
     pairs = list(zip(f.classes, g.classes))
-    return UnitFactor(name or f"{f.name}^{g.name}", _canonical([hash(p) for p in pairs]))
+    return UnitFactor(name or f"{f.name}^{g.name}", _canonical(pairs))
 
 
 def sup_factor(f: UnitFactor, g: UnitFactor, name: str = "") -> UnitFactor:

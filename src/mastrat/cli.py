@@ -30,10 +30,10 @@ from .blocks import (
     parse_structure,
     strata_projectors,
 )
-from .gf2 import word_to_letters
 from .keys import (
     GeneratorSet,
     default_pools,
+    defining_words_text,
     design_to_text,
     expand_design,
     template_for,
@@ -184,17 +184,15 @@ def cmd_search(cfg: dict) -> int:
             T=T,
             q=q,
             seed=seed,
-            threads=int(cfg.get("threads", 1)),
             distinct_within_stratum=bool(cfg.get("distinct", False)),
         )
         gs = GeneratorSet(tpl, res.best)
         design = expand_design(gs, signed=True)
-        key_lines = [gs.key_inverse_basic.render(), ""]
-        for kind, word, _col in gs.generator_words:
-            key_lines.append(
-                f"{kind}-generator: "
-                f"{word_to_letters(word, letters_for(tpl.n))}"
-            )
+        key_lines = [
+            gs.key_inverse_basic.render(),
+            "",
+            *defining_words_text(gs).splitlines(),
+        ]
         files = {
             "design.csv": design_to_text(
                 design, list(tpl.factor_names)
@@ -213,15 +211,7 @@ def cmd_search(cfg: dict) -> int:
         )
         seq = _sequence_for(cfg, b)
         q = _default_q(cfg, problem.n_slots, nonregular=True)
-        res = run_algorithm4(
-            problem,
-            seq,
-            S=S,
-            T=T,
-            q=q,
-            seed=seed,
-            threads=int(cfg.get("threads", 1)),
-        )
+        res = run_algorithm4(problem, seq, S=S, T=T, q=q, seed=seed)
         design = problem.design_rows(res.best)
         files = {
             "design.csv": design_to_text(design, list(letters_for(n))),
@@ -363,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, help="master random seed")
     ps.add_argument("--distinct", action="store_true", default=None,
                     help="forbid repeated runs / generators")
-    ps.add_argument("--threads", type=int, help="worker threads")
     ps.add_argument("--trace", action="store_true", default=None,
                     help="record the per-iteration best value")
     ps.set_defaults(func=cmd_search)

@@ -18,11 +18,6 @@ def _read_csv(name: str) -> tuple[list[str], np.ndarray]:
     return header, np.array(rows, dtype=np.int64)
 
 
-def load_design(name: str) -> tuple[list[str], np.ndarray]:
-    """A +/-1 design table with its factor names."""
-    return _read_csv(name)
-
-
 def oa8_m() -> np.ndarray:
     """Strength-2 OA(8, 2^6, 2)."""
     return _read_csv("m_oa8.csv")[1]

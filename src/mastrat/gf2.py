@@ -46,13 +46,6 @@ def gf2_rank(rows: Iterable[int]) -> int:
     return len(basis)
 
 
-def gf2_reduce(mask: int, basis: Sequence[int]) -> int:
-    """Reduce a word against a basis; 0 means it is in the span."""
-    for b in basis:
-        mask = min(mask, mask ^ b)
-    return mask
-
-
 def span_enumerate(generators: Sequence[int]) -> list[int]:
     """All nonzero GF(2) combinations of the generators.
 

@@ -9,7 +9,6 @@ by stratum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -18,7 +17,7 @@ import numpy as np
 
 from .aberration import WordlengthTable, table_from_counts
 from .blocks import BlockStructure
-from .gf2 import BitMatrix, SingularMatrixError, span_enumerate, word_to_letters
+from .gf2 import BitMatrix, SingularMatrixError, word_to_letters
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -725,15 +724,6 @@ def defining_words_text(gs: GeneratorSet) -> str:
     return "\n".join(lines)
 
 
-def block_subgroup_words(generators: Sequence[int]) -> list[int]:
-    """All nonzero words of the subgroup spanned by the generators."""
-    return span_enumerate(list(generators))
-
-
-def required_runs(template: KeyTemplate) -> int:
-    return 1 << template.n_basic
-
-
 def check_pool_widths(
     template: KeyTemplate, pools: Mapping[str, PoolMatrix]
 ) -> None:
@@ -748,15 +738,7 @@ def check_pool_widths(
             )
 
 
-def integer_log2(x: int) -> int:
-    return _log2_exact(x, "value")
-
-
 def letters_for(n: int) -> tuple[str, ...]:
     if n > len(LETTERS):
         raise ValueError("too many factors for letter labels")
     return tuple(LETTERS[:n])
-
-
-def _unused(*_args) -> None:  # pragma: no cover
-    math.isnan(0.0)

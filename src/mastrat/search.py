@@ -1,18 +1,19 @@
 """Swarm search for minimum-aberration multi-stratum designs.
 
-Discrete particle-swarm (SIB-style) drivers: particles are generator fills
-for regular designs or unit-to-run assignments for nonregular designs.
-Each iteration MIXes a particle toward the global best, its local best,
-and fresh pool draws, then MOVEs to the best of candidate / current /
-local best, with a random perturbation to escape stagnation.
+One discrete particle-swarm (SIB-style) loop serves both search spaces:
+particles are generator fills for regular designs or unit-to-run
+assignments for nonregular designs.  Each iteration MIXes a particle
+toward the global best, its local best, and fresh pool draws, then MOVEs
+to the best of candidate / current / local best, with a random
+perturbation to escape stagnation.  The search runs on one thread;
+parallel runs are independent seeds in separate processes.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -26,6 +27,7 @@ from .keys import (
     KeyTemplate,
     PoolMatrix,
     StratumClassifier,
+    check_pool_widths,
     random_generator_set,
 )
 
@@ -167,32 +169,38 @@ class RegularEvaluator:
 
 
 @dataclass
-class RegularParticle:
-    fills: tuple[int, ...]
-    value: tuple[int, ...]
-    lb_fills: tuple[int, ...] = ()
-    lb_value: tuple[int, ...] = ()
+class Particle:
+    """A swarm position with its criterion value and its local best.
+
+    The position is a tuple of generator fills (regular search) or of
+    pool runs per slot (nonregular search).
+    """
+
+    pos: tuple
+    value: tuple
+    lb_pos: tuple = ()
+    lb_value: tuple = ()
 
     def __post_init__(self) -> None:
-        if not self.lb_fills:
-            self.lb_fills, self.lb_value = self.fills, self.value
+        if not self.lb_pos:
+            self.lb_pos, self.lb_value = self.pos, self.value
 
 
 def mix_regular(
-    x: RegularParticle,
-    gb: RegularParticle,
-    lb: RegularParticle,
+    x: Particle,
+    gb: Particle,
+    lb: Particle,
     template: KeyTemplate,
     pools: Mapping[str, PoolMatrix],
     q: QVector,
     evaluator: RegularEvaluator,
     rng: np.random.Generator,
     max_retries: int = 100,
-) -> RegularParticle:
+) -> Particle:
     """Three-source position swaps: GB fills, LB fills, then fresh draws."""
     plan = q.per_pool(template, rng)
     for _ in range(max_retries):
-        fills = list(x.fills)
+        fills = list(x.pos)
         for key, (n_gb, n_lb, n_new) in plan.items():
             idx = template.slot_indices(key)
             total = n_gb + n_lb + n_new
@@ -202,16 +210,16 @@ def mix_regular(
             positions = [idx[int(i)] for i in chosen]
             for j, pos in enumerate(positions):
                 if j < n_gb:
-                    fills[pos] = gb.fills[pos]
+                    fills[pos] = gb.pos[pos]
                 elif j < n_gb + n_lb:
-                    fills[pos] = lb.fills[pos]
+                    fills[pos] = lb.pos[pos]
                 else:
                     pool = pools[key]
                     fills[pos] = int(pool.rows[rng.integers(len(pool.rows))])
         cand = tuple(fills)
         gs = GeneratorSet(template, cand)
         if gs.is_invertible():
-            return RegularParticle(cand, evaluator.value(cand))
+            return Particle(cand, evaluator.value(cand))
     raise ExhaustedRetriesError("MIX could not produce an invertible key")
 
 
@@ -260,6 +268,90 @@ class SearchResult:
     metadata: dict
 
 
+def _swarm(
+    kind: str,
+    sequence: Sequence[Sequence[str]],
+    S: int,
+    T: int,
+    q: QVector,
+    seed: int,
+    *,
+    init: Callable[[np.random.Generator], tuple],
+    value: Callable[[tuple], tuple],
+    mix: Callable[[Particle, Particle, Particle, np.random.Generator], Particle],
+    perturb: Callable[[tuple, np.random.Generator], tuple],
+    table: Callable[[tuple], WordlengthTable],
+    refine: Callable[[Particle], Particle] = lambda p: p,
+) -> SearchResult:
+    """The SIB loop shared by Algorithms 3 and 4.
+
+    Every particle draws from its own stream spawned from ``seed``, so a
+    seeded run is reproducible.  ``refine`` is applied to each new global
+    best before it is adopted.
+    """
+    start = time.monotonic()
+    streams = [
+        np.random.default_rng(s)
+        for s in np.random.SeedSequence(seed).spawn(S)
+    ]
+    particles = []
+    for rng in streams:
+        pos = init(rng)
+        particles.append(Particle(pos, value(pos)))
+    gb = min(particles, key=lambda p: p.value)
+    gb = refine(Particle(gb.pos, gb.value))
+    co_optimal: dict[tuple, None] = {gb.pos: None}
+    trace: list[tuple[int, tuple]] = [(1, gb.value)]
+
+    for t in range(2, T + 1):
+        for p, rng in zip(particles, streams):
+
+            def perturb_particle(cur: Particle) -> Particle:
+                pos = perturb(cur.pos, rng)
+                return Particle(pos, value(pos))
+
+            lb = Particle(p.lb_pos, p.lb_value)
+            new = move(mix(p, gb, lb, rng), p, lb, perturb_particle)
+            p.pos, p.value = new.pos, new.value
+            if compare_values(p.value, p.lb_value) < 0:
+                p.lb_pos, p.lb_value = p.pos, p.value
+        best = min(particles, key=lambda p: p.lb_value)
+        if compare_values(best.lb_value, gb.value) < 0:
+            gb = refine(Particle(best.lb_pos, best.lb_value))
+            co_optimal = {gb.pos: None}
+        for p in particles:
+            if p.lb_value == gb.value:
+                co_optimal[p.lb_pos] = None
+        trace.append((t, gb.value))
+
+    return SearchResult(
+        kind=kind,
+        best=gb.pos,
+        value=gb.value,
+        table=table(gb.pos),
+        report_subsets=[tuple(g) for g in sequence],
+        co_optimal=list(co_optimal),
+        trace=trace,
+        metadata={
+            "seed": seed,
+            "S": S,
+            "T": T,
+            "q": q.totals(),
+            "wall_time": time.monotonic() - start,
+        },
+    )
+
+
+def _check_run_args(S: int, T: int, threads: int) -> None:
+    if S < 1 or T < 1:
+        raise ValueError("S and T must be at least 1")
+    if threads != 1:
+        raise ValueError(
+            "the search runs on one thread; run independent seeds in "
+            "separate processes instead"
+        )
+
+
 def run_algorithm3(
     template: KeyTemplate,
     pools: Mapping[str, PoolMatrix],
@@ -273,21 +365,21 @@ def run_algorithm3(
     max_retries: int = 100,
     polish: bool = True,
 ) -> SearchResult:
-    """SIB driver for regular multi-stratum designs.
+    """SIB search for regular multi-stratum designs.
 
     With ``polish`` enabled, every new global best is refined by
     coordinate descent over the generator slots before being adopted.
+    ``threads`` is accepted only as 1.
     """
-    if S < 1 or T < 1:
-        raise ValueError("S and T must be at least 1")
+    _check_run_args(S, T, threads)
+    check_pool_widths(template, pools)
     q.validate(len(template.slots))
-    start = time.monotonic()
     evaluator = RegularEvaluator(template, sequence)
 
-    def refine(p: RegularParticle) -> RegularParticle:
+    def polish_best(p: Particle) -> Particle:
         if not polish:
             return p
-        fills, value = list(p.fills), p.value
+        fills, value = list(p.pos), p.value
         improved = True
         while improved:
             improved = False
@@ -304,86 +396,33 @@ def run_algorithm3(
                     if v < value:
                         value, cur, improved = v, int(r), True
                 fills[pos] = cur
-        return RegularParticle(tuple(fills), value)
+        return Particle(tuple(fills), value)
 
-    streams = [
-        np.random.default_rng(s)
-        for s in np.random.SeedSequence(seed).spawn(S)
-    ]
-    particles: list[RegularParticle] = []
-    for rng in streams:
-        gs = random_generator_set(
+    def perturb(pos: tuple, rng: np.random.Generator) -> tuple:
+        _, _, n_new = q.totals()
+        for _ in range(max_retries):
+            fills = list(pos)
+            take = min(max(n_new, 1), len(fills))
+            for i in rng.choice(len(fills), size=take, replace=False):
+                pool = pools[template.slots[int(i)].pool_key]
+                fills[int(i)] = int(pool.rows[rng.integers(len(pool.rows))])
+            cand = tuple(fills)
+            if GeneratorSet(template, cand).is_invertible():
+                return cand
+        raise ExhaustedRetriesError("perturbation failed to keep K invertible")
+
+    return _swarm(
+        "regular", sequence, S, T, q, seed,
+        init=lambda rng: random_generator_set(
             template, pools, rng, max_retries, distinct_within_stratum
-        )
-        particles.append(RegularParticle(gs.fills, evaluator.value(gs.fills)))
-    gb = min(particles, key=lambda p: p.value)
-    gb = refine(RegularParticle(gb.fills, gb.value))
-    co_optimal: dict[tuple[int, ...], None] = {gb.fills: None}
-    trace: list[tuple[int, tuple]] = [(1, gb.value)]
-
-    def perturber(rng: np.random.Generator):
-        def perturb(p: RegularParticle) -> RegularParticle:
-            _, _, n_new = q.totals()
-            fills = list(p.fills)
-            for _ in range(max_retries):
-                take = min(max(n_new, 1), len(fills))
-                for pos in rng.choice(len(fills), size=take, replace=False):
-                    pool = pools[template.slots[int(pos)].pool_key]
-                    fills[int(pos)] = int(
-                        pool.rows[rng.integers(len(pool.rows))]
-                    )
-                cand = tuple(fills)
-                if GeneratorSet(template, cand).is_invertible():
-                    return RegularParticle(cand, evaluator.value(cand))
-                fills = list(p.fills)
-            raise ExhaustedRetriesError("perturbation failed to keep K invertible")
-
-        return perturb
-
-    def step(j: int) -> None:
-        rng = streams[j]
-        p = particles[j]
-        lb = RegularParticle(p.lb_fills, p.lb_value)
-        cand = mix_regular(
-            p, gb, lb, template, pools, q, evaluator, rng, max_retries
-        )
-        new = move(cand, p, lb, perturber(rng))
-        p.fills, p.value = new.fills, new.value
-        if compare_values(p.value, p.lb_value) < 0:
-            p.lb_fills, p.lb_value = p.fills, p.value
-
-    for t in range(2, T + 1):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                list(ex.map(step, range(S)))
-        else:
-            for j in range(S):
-                step(j)
-        best = min(particles, key=lambda p: p.lb_value)
-        if compare_values(best.lb_value, gb.value) < 0:
-            gb = refine(RegularParticle(best.lb_fills, best.lb_value))
-            co_optimal = {gb.fills: None}
-        for p in particles:
-            if p.lb_value == gb.value:
-                co_optimal[p.lb_fills] = None
-        trace.append((t, gb.value))
-
-    table = evaluator.table(gb.fills)
-    return SearchResult(
-        kind="regular",
-        best=gb.fills,
-        value=gb.value,
-        table=table,
-        report_subsets=[tuple(g) for g in sequence],
-        co_optimal=list(co_optimal),
-        trace=trace,
-        metadata={
-            "seed": seed,
-            "S": S,
-            "T": T,
-            "q": q.totals(),
-            "wall_time": time.monotonic() - start,
-        },
+        ).fills,
+        value=evaluator.value,
+        mix=lambda x, gb, lb, rng: mix_regular(
+            x, gb, lb, template, pools, q, evaluator, rng, max_retries
+        ),
+        perturb=perturb,
+        table=evaluator.table,
+        refine=polish_best,
     )
 
 
@@ -397,6 +436,7 @@ def oracle_regular(
 
     Returns (best fills, best value, number of co-optimal combinations).
     """
+    check_pool_widths(template, pools)
     sizes = [len(pools[s.pool_key].rows) for s in template.slots]
     space = 1
     for s in sizes:
@@ -745,42 +785,30 @@ def _lex_argmin(
     return int(ties[rng.integers(len(ties))])
 
 
-@dataclass
-class NonregularParticle:
-    assignment: tuple[int, ...]
-    value: tuple[Fraction, ...]
-    lb_assignment: tuple[int, ...] = ()
-    lb_value: tuple[Fraction, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.lb_assignment:
-            self.lb_assignment, self.lb_value = self.assignment, self.value
-
-
 def mix_nonregular(
-    x: NonregularParticle,
-    gb: NonregularParticle,
-    lb: NonregularParticle,
+    x: Particle,
+    gb: Particle,
+    lb: Particle,
     problem: NonregularProblem,
     q: QVector,
     rng: np.random.Generator,
-) -> NonregularParticle:
+) -> Particle:
     """Per-source MIX: for GB, LB, then the pool, greedily delete q_i runs
     and greedily refill them from that source."""
     n_gb, n_lb, n_new = q.totals()
     if n_gb + n_lb + n_new > problem.n_slots:
         raise InvalidQError("q total exceeds the number of runs")
     if n_gb + n_lb + n_new == 0:
-        return NonregularParticle(x.assignment, x.value)
-    state = _PartialState(problem, x.assignment)
+        return Particle(x.pos, x.value)
+    state = _PartialState(problem, x.pos)
     # The third source is the whole run pool; randomized tie-breaking in
     # the greedy steps keeps that phase stochastic.
     # Exploration first, exploitation last: the GB phase repairs whatever
     # the pool-wide NEW phase disturbed.
     for source, cnt in (
         (list(problem.pool), n_new),
-        (list(lb.assignment), n_lb),
-        (list(gb.assignment), n_gb),
+        (list(lb.pos), n_lb),
+        (list(gb.pos), n_gb),
     ):
         if cnt == 0:
             continue
@@ -814,7 +842,7 @@ def mix_nonregular(
     final = tuple(v for v in state.values)
     if any(v is None for v in final):
         raise EmptyCandidateSetError("addition step left empty slots")
-    return NonregularParticle(final, problem.exact_value(final))
+    return Particle(final, problem.exact_value(final))
 
 
 def _random_assignment(
@@ -839,131 +867,38 @@ def run_algorithm4(
     seed: int,
     threads: int = 1,
 ) -> SearchResult:
-    """SIB driver for nonregular multi-stratum designs."""
-    if S < 1 or T < 1:
-        raise ValueError("S and T must be at least 1")
+    """SIB search for nonregular multi-stratum designs.
+
+    ``threads`` is accepted only as 1.
+    """
+    _check_run_args(S, T, threads)
     q.validate(problem.n_slots)
     problem.set_sequence(sequence)
-    start = time.monotonic()
-    streams = [
-        np.random.default_rng(s)
-        for s in np.random.SeedSequence(seed).spawn(S)
-    ]
-    particles = []
-    for rng in streams:
-        a = _random_assignment(problem, rng)
-        particles.append(NonregularParticle(a, problem.exact_value(a)))
-    gb = min(particles, key=lambda p: p.value)
-    gb = NonregularParticle(gb.assignment, gb.value)
-    co_optimal: dict[tuple[int, ...], None] = {gb.assignment: None}
-    trace: list[tuple[int, tuple]] = [(1, gb.value)]
 
-    def perturber(rng: np.random.Generator):
-        def perturb(p: NonregularParticle) -> NonregularParticle:
-            _, _, n_new = q.totals()
-            a = list(p.assignment)
-            take = min(max(n_new, 1), len(a))
-            pool = problem.pool
-            for pos in rng.choice(len(a), size=take, replace=False):
-                if problem.distinct:
-                    used = set(a)
-                    options = [r for r in pool if r not in used]
-                    if not options:
-                        continue
-                else:
-                    options = pool
-                a[int(pos)] = int(options[rng.integers(len(options))])
-            cand = tuple(a)
-            return NonregularParticle(cand, problem.exact_value(cand))
+    def perturb(pos: tuple, rng: np.random.Generator) -> tuple:
+        _, _, n_new = q.totals()
+        a = list(pos)
+        take = min(max(n_new, 1), len(a))
+        pool = problem.pool
+        for i in rng.choice(len(a), size=take, replace=False):
+            if problem.distinct:
+                used = set(a)
+                options = [r for r in pool if r not in used]
+                if not options:
+                    continue
+            else:
+                options = pool
+            a[int(i)] = int(options[rng.integers(len(options))])
+        return tuple(a)
 
-        return perturb
-
-    def step(j: int) -> None:
-        rng = streams[j]
-        p = particles[j]
-        lb = NonregularParticle(p.lb_assignment, p.lb_value)
-        cand = mix_nonregular(p, gb, lb, problem, q, rng)
-        new = move(cand, p, lb, perturber(rng))
-        p.assignment, p.value = new.assignment, new.value
-        if compare_values(p.value, p.lb_value) < 0:
-            p.lb_assignment, p.lb_value = p.assignment, p.value
-
-    for t in range(2, T + 1):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                list(ex.map(step, range(S)))
-        else:
-            for j in range(S):
-                step(j)
-        best = min(particles, key=lambda p: p.lb_value)
-        if compare_values(best.lb_value, gb.value) < 0:
-            gb = NonregularParticle(best.lb_assignment, best.lb_value)
-            co_optimal = {gb.assignment: None}
-        for p in particles:
-            if p.lb_value == gb.value:
-                co_optimal[p.lb_assignment] = None
-        trace.append((t, gb.value))
-
-    return SearchResult(
-        kind="nonregular",
-        best=gb.assignment,
-        value=gb.value,
-        table=problem.table(gb.assignment),
-        report_subsets=[tuple(g) for g in sequence],
-        co_optimal=list(co_optimal),
-        trace=trace,
-        metadata={
-            "seed": seed,
-            "S": S,
-            "T": T,
-            "q": q.totals(),
-            "wall_time": time.monotonic() - start,
-        },
+    return _swarm(
+        "nonregular", sequence, S, T, q, seed,
+        init=lambda rng: _random_assignment(problem, rng),
+        value=problem.exact_value,
+        mix=lambda x, gb, lb, rng: mix_nonregular(x, gb, lb, problem, q, rng),
+        perturb=perturb,
+        table=problem.table,
     )
-
-
-# ---------------------------------------------------------------------
-# Reference continuous PSO update (tests only)
-# ---------------------------------------------------------------------
-
-
-def continuous_pso_reference(
-    position: np.ndarray,
-    velocity: np.ndarray,
-    gb: np.ndarray,
-    lb: np.ndarray,
-    new: np.ndarray,
-    c1: float,
-    c2: float,
-    c3: float,
-    dt: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous analogue of the three-source update.
-
-    v' = v + c1 (gb - x) + c2 (lb - x) + c3 (new - x);  x' = x + v' dt.
-    """
-    x = np.asarray(position, dtype=float)
-    v = np.asarray(velocity, dtype=float)
-    v2 = (
-        v
-        + c1 * (np.asarray(gb, dtype=float) - x)
-        + c2 * (np.asarray(lb, dtype=float) - x)
-        + c3 * (np.asarray(new, dtype=float) - x)
-    )
-    return x + v2 * dt, v2
-
-
-@dataclass(frozen=True)
-class SwarmState:
-    """Snapshot of a swarm mid-run, for audits and debugging."""
-
-    iteration: int
-    particle_values: tuple[tuple, ...]
-    local_best_values: tuple[tuple, ...]
-    global_best_value: tuple
-
-    def consistent(self) -> bool:
-        return self.global_best_value == min(self.local_best_values)
 
 
 FISH_MIXTURE_ROWS: tuple[int, ...] = tuple(

@@ -218,7 +218,7 @@ def test_algorithm3_gb_monotone_any_seed(seed):
     for (_, a), (_, c) in zip(res.trace, res.trace[1:]):
         assert compare_values(c, a) <= 0
     # every visited GB key stays invertible
-    assert GeneratorSet(t, res.best).is_invertible
+    assert GeneratorSet(t, res.best).is_invertible()
 
 
 @given(sig=st.lists(st.integers(min_value=0, max_value=9), min_size=3, max_size=3))

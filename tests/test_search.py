@@ -1,4 +1,4 @@
-"""Swarm-search machinery: q-vectors, MIX, MOVE, drivers, reference PSO."""
+"""Swarm-search machinery: q-vectors, MIX, MOVE, and the SIB drivers."""
 
 from fractions import Fraction
 
@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 from mastrat.blocks import BlockStructure, criterion_sequence, parse_structure
-from mastrat.keys import GeneratorSet, default_pools, template_for
+from mastrat.keys import GeneratorSet, PoolMatrix, default_pools, template_for
 from mastrat.search import (
     EmptyCandidateSetError,
     FISH_MIXTURE_ROWS,
     InvalidQError,
-    NonregularParticle,
     NonregularProblem,
     QVector,
     RegularEvaluator,
-    RegularParticle,
+    Particle,
     SpaceTooLargeError,
     compare_values,
-    continuous_pso_reference,
     fish_patty_problem,
     mix_nonregular,
     mix_regular,
@@ -75,44 +73,44 @@ def test_q_per_pool_bounded_by_slots():
 def test_mix_regular_zero_q_identity():
     _, t, pools, seq = blocked_setup()
     ev = RegularEvaluator(t, seq)
-    x = RegularParticle((1, 2, 3), ev.value((1, 2, 3)))
+    x = Particle((1, 2, 3), ev.value((1, 2, 3)))
     out = mix_regular(
         x, x, x, t, pools, QVector(0, 0, 0), ev, np.random.default_rng(0)
     )
-    assert out.fills == x.fills
+    assert out.pos == x.pos
 
 
 def test_mix_regular_swaps_toward_gb():
     _, t, pools, seq = blocked_setup()
     ev = RegularEvaluator(t, seq)
-    x = RegularParticle((1, 2, 3), ev.value((1, 2, 3)))
-    gb = RegularParticle((3, 1, 2), ev.value((3, 1, 2)))
+    x = Particle((1, 2, 3), ev.value((1, 2, 3)))
+    gb = Particle((3, 1, 2), ev.value((3, 1, 2)))
     out = mix_regular(
         x, gb, x, t, pools, QVector({"B": 2}, 0, 0), ev, np.random.default_rng(1)
     )
-    changed = [i for i in range(3) if out.fills[i] != x.fills[i]]
+    changed = [i for i in range(3) if out.pos[i] != x.pos[i]]
     assert len(changed) <= 2
-    assert all(out.fills[i] == gb.fills[i] for i in changed)
-    assert GeneratorSet(t, out.fills).is_invertible
+    assert all(out.pos[i] == gb.pos[i] for i in changed)
+    assert GeneratorSet(t, out.pos).is_invertible()
 
 
 def test_move_adopts_better_candidate():
-    a = RegularParticle((0,), (0,))
-    b = RegularParticle((1,), (1,))
+    a = Particle((0,), (0,))
+    b = Particle((1,), (1,))
     assert move(a, b, b) is a
 
 
 def test_move_tie_keeps_incumbent():
-    a = RegularParticle((0,), (1,))
-    cur = RegularParticle((1,), (1,))
+    a = Particle((0,), (1,))
+    cur = Particle((1,), (1,))
     assert move(a, cur, cur) is cur
 
 
 def test_move_perturbs_when_candidate_trails():
-    cand = RegularParticle((0,), (5,))
-    cur = RegularParticle((1,), (1,))
-    lb = RegularParticle((2,), (0,))
-    marker = RegularParticle((9,), (9,))
+    cand = Particle((0,), (5,))
+    cur = Particle((1,), (1,))
+    lb = Particle((2,), (0,))
+    marker = Particle((9,), (9,))
     out = move(cand, cur, lb, perturb=lambda p: marker)
     assert out is marker
 
@@ -147,6 +145,42 @@ def test_algorithm3_rejects_bad_iterations():
     _, t, pools, seq = blocked_setup()
     with pytest.raises(ValueError):
         run_algorithm3(t, pools, seq, S=0, T=5, q=QVector(0, 0, 1), seed=1)
+    with pytest.raises(ValueError):
+        run_algorithm3(t, pools, seq, S=5, T=5, q=QVector(0, 0, 1), seed=1, threads=2)
+
+
+def test_entry_points_check_pool_widths():
+    _, t, _, seq = blocked_setup()
+    pools = {"B": PoolMatrix("B", 3, (1, 2), True)}
+    with pytest.raises(ValueError):
+        run_algorithm3(t, pools, seq, S=2, T=2, q=QVector(1, 0, 1), seed=1)
+    with pytest.raises(ValueError):
+        oracle_regular(t, pools, seq)
+
+
+def test_seeded_runs_pin_the_random_stream():
+    """Exact results of one small seeded search per driver."""
+    b = parse_structure("8/4")
+    t = template_for(b, 9, 4)
+    pools = default_pools(t, True)
+    seq = criterion_sequence(b, "forward")
+    r3 = run_algorithm3(t, pools, seq, S=10, T=10, q=QVector(2, 1, 3), seed=1)
+    first = (0, 0, 0, 9, 0, 6, 0, 0, 0, 0, 16, 0, 66, 0, 40, 0, 5, 0)
+    final = (0, 0, 0, 6, 8, 0, 0, 1, 0, 0, 12, 16, 38, 32, 12, 16, 1, 0)
+    assert r3.best == (3, 3, 3, 15, 22, 29, 26)
+    assert r3.value == final
+    assert r3.trace == [(i, first if i < 8 else final) for i in range(1, 11)]
+    assert r3.co_optimal == [r3.best]
+
+    prob = NonregularProblem(BlockStructure.unstructured(8), 6, pool=list(range(64)))
+    r4 = run_algorithm4(prob, [("U",)], S=10, T=6, q=QVector(2, 2, 4), seed=1)
+    F = Fraction
+    first = (F(1, 8), F(5, 2), F(11, 4), F(1, 2), F(9, 8), F(0))
+    final = (F(0), F(1), F(5, 2), F(3), F(1, 2), F(0))
+    assert r4.best == (59, 23, 2, 28, 45, 1, 40, 54)
+    assert r4.value == final
+    assert r4.trace == [(i, first if i < 2 else final) for i in range(1, 7)]
+    assert r4.co_optimal == [r4.best]
 
 
 def test_oracle_small_space_matches_search():
@@ -194,16 +228,16 @@ def test_mix_nonregular_zero_q_identity():
     b = BlockStructure.unstructured(4)
     prob = NonregularProblem(b, 2, pool=list(range(4)))
     a = (0, 1, 2, 3)
-    p = NonregularParticle(a, prob.exact_value(a))
+    p = Particle(a, prob.exact_value(a))
     out = mix_nonregular(p, p, p, prob, QVector(0, 0, 0), np.random.default_rng(0))
-    assert out.assignment == a
+    assert out.pos == a
 
 
 def test_mix_nonregular_q_exceeds_runs():
     b = BlockStructure.unstructured(4)
     prob = NonregularProblem(b, 2, pool=list(range(4)))
     a = (0, 1, 2, 3)
-    p = NonregularParticle(a, prob.exact_value(a))
+    p = Particle(a, prob.exact_value(a))
     with pytest.raises(InvalidQError):
         mix_nonregular(p, p, p, prob, QVector(2, 2, 2), np.random.default_rng(0))
 
@@ -259,20 +293,3 @@ def test_fish_design_rows_never_contain_zero_blend():
     # Each processing column repeats its z sub-design across all 7 blends.
     for j, units in enumerate(prob.slot_units):
         assert len({tuple(d[u][3:]) for u in units}) == 1
-
-
-# ----- continuous reference update -----
-
-def test_pso_zero_coefficients():
-    x, v = continuous_pso_reference([1.0], [2.0], [0], [0], [0], 0, 0, 0)
-    assert x[0] == 3.0 and v[0] == 2.0
-
-
-def test_pso_at_consensus_point():
-    x, v = continuous_pso_reference([5.0], [1.5], [5], [5], [5], 2, 3, 4)
-    assert v[0] == 1.5
-
-
-def test_pso_one_dimensional_example():
-    x, v = continuous_pso_reference([0.0], [0.0], [1], [2], [3], 1, 1, 1)
-    assert x[0] == 6.0 and v[0] == 6.0
