@@ -41,12 +41,10 @@ from .keys import (
     PoolMatrix,
     algorithm1_complete,
     algorithm2_fractional,
-    compute_Bki_regular,
     default_pools,
     expand_design,
     pool_for,
     template_for,
-    words_by_stratum,
 )
 from .search import (
     NonregularProblem,

@@ -1,10 +1,12 @@
 """Generalized word counts and aberration criteria.
 
 B_{k,i} is the normalized squared projection of every order-k factorial
-effect column onto stratum i.  Two routes are provided: the direct matrix
-route (works for any +/-1 design) and the regular shortcut that counts
-aliased defining words.  All table entries are exact rationals; floats
-appear only in rendered reports.
+effect column onto stratum i.  `compute_Bki_matrix` evaluates it directly
+for any +/-1 design; for regular designs it is the oracle of the one fast
+route, `search.RegularEvaluator`, which counts the defining words aliased
+into each stratum and builds its table with `table_from_counts`.  All
+table entries are exact rationals; floats appear only in rendered
+reports.
 """
 
 from __future__ import annotations

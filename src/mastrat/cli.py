@@ -20,7 +20,6 @@ import numpy as np
 from .aberration import (
     compute_Bki_matrix,
     compute_WG,
-    format_pattern,
     render_report,
 )
 from .blocks import (
@@ -124,7 +123,7 @@ def _default_q(cfg: dict, slot_count: int, nonregular: bool) -> QVector:
             continue
         if sum(cand) <= slot_count:
             return QVector(*cand)
-    raise UsageError("no feasible default q for a single-position template")
+    return QVector(0, 0, 0)  # no free positions: nothing to search
 
 
 def _write_artifacts(out_dir: str | None, files: dict[str, str]) -> None:

@@ -3,8 +3,12 @@
 A design key ties treatment factors to unit pseudo-factors.  Templates fix
 the identity scaffolding and leave free (*) positions; pool matrices list
 the admissible fill-ins.  Generator sets are the templates' free positions
-filled in, from which designs are expanded and defining words classified
-by stratum.
+filled in, from which designs are expanded.
+
+Every template key is unit lower triangular: each stratum generator owns
+one key column and stars only earlier columns, so every fill gives an
+invertible key.  `KeyTemplate` checks this once, at construction.  Word
+counts per stratum come from `search.RegularEvaluator`.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .aberration import WordlengthTable, table_from_counts
 from .blocks import BlockStructure
 from .gf2 import BitMatrix, SingularMatrixError, word_to_letters
 
@@ -27,7 +30,7 @@ class InfeasibleTemplateError(ValueError):
 
 
 class ExhaustedRetriesError(RuntimeError):
-    """Independent generators unreachable within the retry cap."""
+    """A distinct-within-stratum draw ran out of pool rows."""
 
 
 class SingularKeyError(ValueError):
@@ -93,6 +96,26 @@ class KeyTemplate:
     slots: tuple[GeneratorSlot, ...]
     # strip-plot bookkeeping: (row fill slot, col fill slot, added factor)
     shared_u: tuple[tuple[int, int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        # Each stratum generator owns a distinct key column and stars only
+        # earlier ones, so the key is unit lower triangular for every fill.
+        col_of = {f: j for j, f in enumerate(self.basic_factors)}
+        owned: set[int] = set()
+        for slot in self.slots:
+            if slot.role != "stratum":
+                continue
+            c = slot.column
+            if (
+                c in owned
+                or not 0 <= c < self.n_basic
+                or slot.fixed_mask != 1 << self.basic_factors[c]
+                or any(col_of.get(p, c) >= c for p in slot.star_positions)
+            ):
+                raise InfeasibleTemplateError(
+                    f"stratum slot on column {c} breaks the triangular key"
+                )
+            owned.add(c)
 
     @property
     def n_basic(self) -> int:
@@ -469,10 +492,6 @@ class GeneratorSet:
             packed = 0
             for f in range(t.n):
                 if (word >> f) & 1:
-                    if f not in fac_to_col:
-                        raise SingularKeyError(
-                            "stratum generator uses a non-basic factor"
-                        )
                     packed |= 1 << fac_to_col[f]
             rows[column] = packed
             row_names[column] = f"{kind}{column}"
@@ -514,114 +533,6 @@ class GeneratorSet:
         return word_to_letters(mask, self.template.factor_names)
 
 
-class StratumClassifier:
-    """Maps unit aliases to strata via the infimum of the owning factors."""
-
-    def __init__(self, template: KeyTemplate):
-        self.template = template
-        b = template.structure
-        self._cache: dict[frozenset[str], str] = {frozenset(): "U"}
-        self.owner_bits = tuple(
-            b.index(owner) for owner in template.column_owner
-        )
-
-    def stratum_of_alias(self, alias: int) -> str:
-        owners = frozenset(
-            self.template.column_owner[c]
-            for c in range(self.template.n_basic)
-            if (alias >> c) & 1
-        )
-        hit = self._cache.get(owners)
-        if hit is None:
-            hit = self.template.structure.inf_name(owners)
-            self._cache[owners] = hit
-        return hit
-
-    def lookup_table(self) -> np.ndarray:
-        """Stratum index per alias value, for vectorized evaluation."""
-        b = self.template.structure
-        size = 1 << self.template.n_basic
-        out = np.empty(size, dtype=np.int64)
-        for alias in range(size):
-            out[alias] = b.index(self.stratum_of_alias(alias))
-        return out
-
-
-@dataclass(frozen=True)
-class StratifiedWordSet:
-    """Every nonzero factorial effect, classified by the stratum of its alias.
-
-    An effect's unit alias is its image t K over the pseudo-factors; the
-    effect sits in the infimum of the factors owning the touched columns
-    (the treatment defining words themselves alias to U).
-    """
-
-    structure: BlockStructure
-    n: int
-    by_stratum: Mapping[str, tuple[tuple[int, int], ...]]  # (word, length)
-
-    def counts(self) -> dict[str, list[int]]:
-        out: dict[str, list[int]] = {}
-        for nm, words in self.by_stratum.items():
-            hist = [0] * self.n
-            for _, length in words:
-                hist[length - 1] += 1
-            out[nm] = hist
-        return out
-
-
-def effect_aliases(gs: GeneratorSet) -> np.ndarray:
-    """Alias value per effect mask 0..2^n-1, via an XOR fold over factors."""
-    t = gs.template
-    masks = gs.alias_masks
-    effects = np.arange(1 << t.n, dtype=np.int64)
-    alias = np.zeros(1 << t.n, dtype=np.int64)
-    for f in range(t.n):
-        alias ^= ((effects >> f) & 1) * masks[f]
-    return alias
-
-
-def words_by_stratum(gs: GeneratorSet) -> StratifiedWordSet:
-    """Classify all 2^n - 1 effects by the stratum of their unit alias."""
-    t = gs.template
-    classifier = StratumClassifier(t)
-    alias = effect_aliases(gs)
-    by: dict[str, list[tuple[int, int]]] = {}
-    for w in range(1, 1 << t.n):
-        stratum = classifier.stratum_of_alias(int(alias[w]))
-        by.setdefault(stratum, []).append((w, w.bit_count()))
-    return StratifiedWordSet(
-        t.structure,
-        t.n,
-        {k: tuple(v) for k, v in by.items()},
-    )
-
-
-def stratum_histograms(gs: GeneratorSet) -> dict[str, list[int]]:
-    """Word-length histogram per stratum, vectorized for search loops."""
-    t = gs.template
-    alias = effect_aliases(gs)
-    lookup = StratumClassifier(t).lookup_table()
-    strata = lookup[alias]
-    effects = np.arange(1 << t.n, dtype=np.int64)
-    lengths = np.zeros(1 << t.n, dtype=np.int64)
-    for f in range(t.n):
-        lengths += (effects >> f) & 1
-    n_strata = len(t.structure.names)
-    flat = np.bincount(
-        (strata + n_strata * (lengths - 1))[1:], minlength=n_strata * t.n
-    )
-    return {
-        nm: [int(flat[i + n_strata * (k - 1)]) for k in range(1, t.n + 1)]
-        for i, nm in enumerate(t.structure.names)
-    }
-
-
-def compute_Bki_regular(words: StratifiedWordSet) -> WordlengthTable:
-    """Regular-design word counts: B_{k,i} = #length-k effects in stratum i."""
-    return table_from_counts(words.structure, words.n, words.counts())
-
-
 def expand_design(gs: GeneratorSet, signed: bool = True) -> np.ndarray:
     """N x n design table via X = K Y in the fixed unit indexing.
 
@@ -652,67 +563,49 @@ def random_generator_set(
     template: KeyTemplate,
     pools: Mapping[str, PoolMatrix],
     rng: np.random.Generator,
-    max_retries: int = 100,
     distinct_within_stratum: bool = False,
 ) -> GeneratorSet:
-    """Draw one fill per slot such that the assembled key is invertible."""
-    for _ in range(max_retries):
-        fills: list[int] = []
-        ok = True
-        used: dict[str, set[int]] = {}
-        for slot in template.slots:
-            pool = pools[slot.pool_key]
-            candidates = pool.rows
-            if distinct_within_stratum:
-                taken = used.setdefault(slot.pool_key, set())
-                candidates = tuple(r for r in candidates if r not in taken)
+    """Draw one fill per slot; every fill of a template key is invertible."""
+    fills: list[int] = []
+    used: dict[str, set[int]] = {}
+    for slot in template.slots:
+        candidates = pools[slot.pool_key].rows
+        if distinct_within_stratum:
+            taken = used.setdefault(slot.pool_key, set())
+            candidates = tuple(r for r in candidates if r not in taken)
             if not candidates:
-                ok = False
-                break
-            fill = int(candidates[rng.integers(len(candidates))])
-            if distinct_within_stratum:
-                used[slot.pool_key].add(fill)
-            fills.append(fill)
-        if not ok:
-            continue
-        gs = GeneratorSet(template, tuple(fills))
-        if gs.is_invertible():
-            return gs
-    raise ExhaustedRetriesError(
-        f"no invertible key within {max_retries} draws"
-    )
+                raise ExhaustedRetriesError(
+                    f"pool {slot.pool_key!r} has fewer rows than slots"
+                )
+        fill = int(candidates[rng.integers(len(candidates))])
+        if distinct_within_stratum:
+            taken.add(fill)
+        fills.append(fill)
+    return GeneratorSet(template, tuple(fills))
 
 
 def algorithm1_complete(
     template: KeyTemplate,
     pools: Mapping[str, PoolMatrix],
     rng: np.random.Generator,
-    max_retries: int = 100,
     distinct_within_stratum: bool = False,
 ) -> GeneratorSet:
     """Design key for complete factorials (no treatment generators)."""
     if template.l0 != 0:
         raise InfeasibleTemplateError("complete factorial requires l0 = 0")
-    return random_generator_set(
-        template, pools, rng, max_retries, distinct_within_stratum
-    )
+    return random_generator_set(template, pools, rng, distinct_within_stratum)
 
 
 def algorithm2_fractional(
     template: KeyTemplate,
     pools: Mapping[str, PoolMatrix],
     rng: np.random.Generator,
-    max_retries: int = 100,
     distinct_within_stratum: bool = False,
 ) -> GeneratorSet:
     """Design key for fractional factorials: Algorithm 1 plus l0 added rows."""
     if template.l0 == 0:
-        return algorithm1_complete(
-            template, pools, rng, max_retries, distinct_within_stratum
-        )
-    return random_generator_set(
-        template, pools, rng, max_retries, distinct_within_stratum
-    )
+        return algorithm1_complete(template, pools, rng, distinct_within_stratum)
+    return random_generator_set(template, pools, rng, distinct_within_stratum)
 
 
 def defining_words_text(gs: GeneratorSet) -> str:

@@ -22,11 +22,9 @@ import numpy as np
 from .aberration import WordlengthTable, table_from_counts
 from .blocks import BlockStructure, strata_projectors
 from .keys import (
-    ExhaustedRetriesError,
     GeneratorSet,
     KeyTemplate,
     PoolMatrix,
-    StratumClassifier,
     check_pool_widths,
     random_generator_set,
 )
@@ -111,14 +109,31 @@ class QVector:
 
 
 class RegularEvaluator:
-    """Criterion vectors for generator fills, vectorized over all effects."""
+    """Word counts per stratum for generator fills: the one regular route.
+
+    Each effect's unit alias is its image under the design key; the effect
+    lies in the infimum of the unit factors owning the alias's columns
+    (treatment defining words alias to U).  `counts` inverts the key once
+    and classifies all 2^n effects at a time; `value` and `table` are
+    built from it.  `aberration.compute_Bki_matrix` is the independent
+    oracle.
+    """
 
     def __init__(self, template: KeyTemplate, sequence: Sequence[Sequence[str]]):
         self.template = template
         self.sequence = [tuple(g) for g in sequence]
         b = template.structure
         self.n_strata = len(b.names)
-        self.lookup = StratumClassifier(template).lookup_table()
+        # Stratum index per alias value; aliases with the same owners share one.
+        by_owners: dict[frozenset[str], int] = {}
+        self.lookup = np.empty(1 << template.n_basic, dtype=np.int64)
+        for alias in range(self.lookup.size):
+            owners = frozenset(
+                o for c, o in enumerate(template.column_owner) if (alias >> c) & 1
+            )
+            if owners not in by_owners:
+                by_owners[owners] = b.index(b.inf_name(owners))
+            self.lookup[alias] = by_owners[owners]
         effects = np.arange(1 << template.n, dtype=np.int64)
         lengths = np.zeros(1 << template.n, dtype=np.int64)
         for f in range(template.n):
@@ -132,8 +147,7 @@ class RegularEvaluator:
 
     def counts(self, fills: tuple[int, ...]) -> np.ndarray:
         """(n, n_strata) matrix of length-k effect counts per stratum."""
-        gs = GeneratorSet(self.template, fills)
-        masks = gs.alias_masks
+        masks = GeneratorSet(self.template, fills).alias_masks
         alias = np.zeros(1 << self.template.n, dtype=np.int64)
         for f in range(self.template.n):
             alias ^= ((self._effects >> f) & 1) * masks[f]
@@ -195,32 +209,27 @@ def mix_regular(
     q: QVector,
     evaluator: RegularEvaluator,
     rng: np.random.Generator,
-    max_retries: int = 100,
 ) -> Particle:
     """Three-source position swaps: GB fills, LB fills, then fresh draws."""
     plan = q.per_pool(template, rng)
-    for _ in range(max_retries):
-        fills = list(x.pos)
-        for key, (n_gb, n_lb, n_new) in plan.items():
-            idx = template.slot_indices(key)
-            total = n_gb + n_lb + n_new
-            if total == 0:
-                continue
-            chosen = rng.choice(len(idx), size=min(total, len(idx)), replace=False)
-            positions = [idx[int(i)] for i in chosen]
-            for j, pos in enumerate(positions):
-                if j < n_gb:
-                    fills[pos] = gb.pos[pos]
-                elif j < n_gb + n_lb:
-                    fills[pos] = lb.pos[pos]
-                else:
-                    pool = pools[key]
-                    fills[pos] = int(pool.rows[rng.integers(len(pool.rows))])
-        cand = tuple(fills)
-        gs = GeneratorSet(template, cand)
-        if gs.is_invertible():
-            return Particle(cand, evaluator.value(cand))
-    raise ExhaustedRetriesError("MIX could not produce an invertible key")
+    fills = list(x.pos)
+    for key, (n_gb, n_lb, n_new) in plan.items():
+        idx = template.slot_indices(key)
+        total = n_gb + n_lb + n_new
+        if total == 0:
+            continue
+        chosen = rng.choice(len(idx), size=min(total, len(idx)), replace=False)
+        positions = [idx[int(i)] for i in chosen]
+        for j, pos in enumerate(positions):
+            if j < n_gb:
+                fills[pos] = gb.pos[pos]
+            elif j < n_gb + n_lb:
+                fills[pos] = lb.pos[pos]
+            else:
+                pool = pools[key]
+                fills[pos] = int(pool.rows[rng.integers(len(pool.rows))])
+    cand = tuple(fills)
+    return Particle(cand, evaluator.value(cand))
 
 
 def compare_values(a: Sequence, b: Sequence) -> int:
@@ -362,7 +371,6 @@ def run_algorithm3(
     seed: int,
     threads: int = 1,
     distinct_within_stratum: bool = False,
-    max_retries: int = 100,
     polish: bool = True,
 ) -> SearchResult:
     """SIB search for regular multi-stratum designs.
@@ -389,10 +397,7 @@ def run_algorithm3(
                     if int(r) == cur:
                         continue
                     fills[pos] = int(r)
-                    cand = tuple(fills)
-                    if not GeneratorSet(template, cand).is_invertible():
-                        continue
-                    v = evaluator.value(cand)
+                    v = evaluator.value(tuple(fills))
                     if v < value:
                         value, cur, improved = v, int(r), True
                 fills[pos] = cur
@@ -400,25 +405,21 @@ def run_algorithm3(
 
     def perturb(pos: tuple, rng: np.random.Generator) -> tuple:
         _, _, n_new = q.totals()
-        for _ in range(max_retries):
-            fills = list(pos)
-            take = min(max(n_new, 1), len(fills))
-            for i in rng.choice(len(fills), size=take, replace=False):
-                pool = pools[template.slots[int(i)].pool_key]
-                fills[int(i)] = int(pool.rows[rng.integers(len(pool.rows))])
-            cand = tuple(fills)
-            if GeneratorSet(template, cand).is_invertible():
-                return cand
-        raise ExhaustedRetriesError("perturbation failed to keep K invertible")
+        fills = list(pos)
+        take = min(max(n_new, 1), len(fills))
+        for i in rng.choice(len(fills), size=take, replace=False):
+            pool = pools[template.slots[int(i)].pool_key]
+            fills[int(i)] = int(pool.rows[rng.integers(len(pool.rows))])
+        return tuple(fills)
 
     return _swarm(
         "regular", sequence, S, T, q, seed,
         init=lambda rng: random_generator_set(
-            template, pools, rng, max_retries, distinct_within_stratum
+            template, pools, rng, distinct_within_stratum
         ).fills,
         value=evaluator.value,
         mix=lambda x, gb, lb, rng: mix_regular(
-            x, gb, lb, template, pools, q, evaluator, rng, max_retries
+            x, gb, lb, template, pools, q, evaluator, rng
         ),
         perturb=perturb,
         table=evaluator.table,
@@ -453,13 +454,11 @@ def oracle_regular(
             int(pools[s.pool_key].rows[i])
             for s, i in zip(template.slots, idx)
         )
-        gs = GeneratorSet(template, fills)
-        if gs.is_invertible():
-            v = evaluator.value(fills)
-            if best_value is None or v < best_value:
-                best_fills, best_value, ties = fills, v, 1
-            elif v == best_value:
-                ties += 1
+        v = evaluator.value(fills)
+        if best_value is None or v < best_value:
+            best_fills, best_value, ties = fills, v, 1
+        elif v == best_value:
+            ties += 1
         pos = len(sizes) - 1
         while pos >= 0:
             idx[pos] += 1
@@ -469,8 +468,6 @@ def oracle_regular(
             pos -= 1
         if pos < 0:
             break
-    if best_value is None:
-        raise ExhaustedRetriesError("no invertible key in the search space")
     return best_fills, best_value, ties
 
 

@@ -27,13 +27,8 @@ from mastrat.blocks import (
     strata_projectors,
 )
 from mastrat.fixtures import oa8_m, pb8
-from mastrat.keys import (
-    GeneratorSet,
-    compute_Bki_regular,
-    default_pools,
-    template_for,
-    words_by_stratum,
-)
+from mastrat.keys import template_for
+from mastrat.search import RegularEvaluator
 
 
 def full_factorial(n):
@@ -45,8 +40,8 @@ def full_factorial(n):
 def blocked_2to5_table():
     b = parse_structure("8/4")
     t = template_for(b, 5, 0)
-    gs = GeneratorSet(t, (0, 1, 3))  # grouping words C, AD, ABE
-    return b, compute_Bki_regular(words_by_stratum(gs))
+    # Fills (0, 1, 3) give the grouping words C, AD, ABE.
+    return b, RegularEvaluator(t, ()).table((0, 1, 3))
 
 
 # ----- matrix route -----

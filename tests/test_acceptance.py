@@ -229,12 +229,12 @@ def test_criterion_7_property_suites():
     b = parse_structure("8/4")
     t = template_for(b, 5, 0)
     pools = default_pools(t, True)
-    from mastrat.keys import random_generator_set, expand_design, words_by_stratum
-    from mastrat.keys import compute_Bki_regular
+    from mastrat.keys import random_generator_set, expand_design
+    from mastrat.search import RegularEvaluator
 
     gs = random_generator_set(t, pools, np.random.default_rng(0))
     assert (
-        compute_Bki_regular(words_by_stratum(gs)).b
+        RegularEvaluator(t, ()).table(gs.fills).b
         == compute_Bki_matrix(expand_design(gs), strata_projectors(b)).b
     )
     assert gs.key_inverse_basic.inverse().rows == gs.key_inverse_basic.rows

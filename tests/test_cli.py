@@ -89,6 +89,16 @@ def test_oracle_blocked_16run(capsys):
     assert lines[2] == "co-optimal designs: 6"
 
 
+def test_search_template_without_free_positions(capsys):
+    # A full factorial on 32 unstructured runs leaves nothing to search.
+    args = ["--structure", "32", "--n", "5", "--l0", "0"]
+    assert main(["oracle", *args]) == 0
+    oracle_line = capsys.readouterr().out.splitlines()[0]
+    assert main(["search", *args, "--S", "2", "--T", "2"]) == 0
+    assert capsys.readouterr().out.strip() == oracle_line
+    assert oracle_line == "G1-MA {0, 0, 0, 0, 0}"
+
+
 def test_oracle_cap_exceeded(capsys):
     rc = main(["oracle", "--structure", "8/4", "--n", "13", "--l0", "8",
                "--criterion", "forward"])

@@ -1,5 +1,8 @@
 """Design-key templates, pools, generator sets, and design expansion."""
 
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -18,8 +21,8 @@ from mastrat.keys import (
     pool_for,
     random_generator_set,
     template_for,
-    words_by_stratum,
 )
+from mastrat.search import RegularEvaluator
 
 
 # ----- templates -----
@@ -70,6 +73,34 @@ def test_strip_template_needs_split():
     b = parse_structure("2/(4x4)")
     with pytest.raises(InfeasibleTemplateError):
         template_for(b, 10, 5)
+
+
+@pytest.mark.parametrize("stars", [(0, 1, 2), (0, 1, 3)])
+def test_template_rejects_non_triangular_stratum_slot(stars):
+    # The first block generator owns column 2; starring it or a later
+    # column could make the key singular.
+    t = template_for(parse_structure("8/4"), 5, 0)
+    bad = replace(t.slots[0], star_positions=stars)
+    with pytest.raises(InfeasibleTemplateError):
+        replace(t, slots=(bad,) + t.slots[1:])
+
+
+def test_template_rejects_shared_stratum_column():
+    t = template_for(parse_structure("8/4"), 5, 0)
+    with pytest.raises(InfeasibleTemplateError):
+        replace(t, slots=(t.slots[0], t.slots[0], t.slots[2]))
+
+
+@pytest.mark.parametrize(
+    "expr, n, l0, split",
+    [("2/4/2", 5, 1, None), ("2/(4x4)", 7, 2, {"rows": 3, "cols": 4})],
+)
+def test_every_template_fill_is_invertible(expr, n, l0, split):
+    t = template_for(parse_structure(expr), n, l0, split)
+    pools = default_pools(t, False)
+    rows = [pools[s.pool_key].rows for s in t.slots]
+    for fills in product(*rows):
+        assert GeneratorSet(t, fills).is_invertible()
 
 
 def test_strip_template_layout():
@@ -213,33 +244,35 @@ def test_expand_strip_row_factor_constancy():
         assert len(rows) == 1  # row factors constant within each row class
 
 
-# ----- stratified words -----
+# ----- word counts per stratum -----
 
 def test_words_by_stratum_blocked():
-    t = template_for(parse_structure("8/4"), 5, 0)
+    b = parse_structure("8/4")
+    t = template_for(b, 5, 0)
     gs = GeneratorSet(t, (0, 1, 3))
-    ws = words_by_stratum(gs)
-    b_words = {gs.word_letters(w) for w, _ in ws.by_stratum.get("B", ())}
-    assert b_words == {"C", "AD", "ABE", "ACD", "ABCE", "BDE", "BCDE"}
-    assert not ws.by_stratum.get("U")
+    # Effects aliased into the block stratum by the words C, AD and ABE.
+    b_words = ["C", "AD", "ABE", "ACD", "BDE", "ABCE", "BCDE"]
+    hist = [sum(len(w) == k for w in b_words) for k in range(1, 6)]
+    assert hist == [1, 1, 3, 2, 0]
+    tab = RegularEvaluator(t, ()).table(gs.fills)
+    assert tab.stratum_vector("B") == tuple(hist)
+    assert tab.stratum_vector("U") == (0, 0, 0, 0, 0)
 
 
 def test_words_partition_count():
     t = template_for(parse_structure("2/4/2"), 5, 1)
     gs = algorithm2_fractional(t, default_pools(t, True), np.random.default_rng(8))
-    ws = words_by_stratum(gs)
+    c = RegularEvaluator(t, ()).counts(gs.fills)
     # Every nonzero treatment effect lands in exactly one stratum.
-    total = sum(len(v) for v in ws.by_stratum.values())
-    assert total == 2**5 - 1
+    assert c.sum() == 2**5 - 1
 
 
 def test_fractional_words_include_treatment_stratum():
     t = template_for(parse_structure("2/4/2"), 5, 1)
     gs = algorithm2_fractional(t, default_pools(t, True), np.random.default_rng(8))
-    ws = words_by_stratum(gs)
-    assert "U" in ws.by_stratum and len(ws.by_stratum["U"]) >= 1
-    for w, length in ws.by_stratum["U"]:
-        assert length == int(w).bit_count() >= 3  # reduced pools: resolution >= 3
+    u = RegularEvaluator(t, ()).counts(gs.fills)[:, t.structure.index("U")]
+    # Reduced pools: the defining words have length >= 3.
+    assert u.sum() >= 1 and not u[:2].any()
 
 
 def test_reduced_pool_generator_length_floor():

@@ -21,14 +21,12 @@ from mastrat.fixtures import latin16_structure
 from mastrat.gf2 import BitMatrix, gf2_rank, span_enumerate
 from mastrat.keys import (
     GeneratorSet,
-    compute_Bki_regular,
     default_pools,
     expand_design,
     random_generator_set,
     template_for,
-    words_by_stratum,
 )
-from mastrat.search import QVector, compare_values, run_algorithm3
+from mastrat.search import QVector, RegularEvaluator, compare_values, run_algorithm3
 
 STRUCTURES = ["8/4", "2/(4x4)", "2/4/4", "latin16"]
 
@@ -180,11 +178,31 @@ def test_three_way_Bki_agreement(config, seed):
     gs = random_generator_set(
         t, default_pools(t, True), np.random.default_rng(seed)
     )
-    regular = compute_Bki_regular(words_by_stratum(gs)).b
+    regular = RegularEvaluator(t, ()).table(gs.fills).b
     design = expand_design(gs)
     matrix = compute_Bki_matrix(design, strata_projectors(b)).b
     direct = fraction_Bki(design, b)
     assert regular == matrix == direct
+
+
+# The Fraction route is too slow at N = 32 with n = 10, so these larger
+# keys are checked against the matrix route only.
+@pytest.mark.parametrize(
+    "config",
+    [("2/(4x4)", 10, 5, {"rows": 6, "cols": 4}), ("2/4/4", 9, 4, None)],
+)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=5, deadline=None)
+def test_regular_counts_match_matrix_route(config, seed):
+    expr, n, l0, split = config
+    b = parse_structure(expr)
+    t = template_for(b, n, l0, split)
+    gs = random_generator_set(
+        t, default_pools(t, False), np.random.default_rng(seed)
+    )
+    regular = RegularEvaluator(t, ()).table(gs.fills).b
+    matrix = compute_Bki_matrix(expand_design(gs), strata_projectors(b)).b
+    assert regular == matrix
 
 
 @pytest.mark.parametrize("expr", ["8/4", "4/8", "2/16"])

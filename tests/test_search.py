@@ -172,6 +172,21 @@ def test_seeded_runs_pin_the_random_stream():
     assert r3.trace == [(i, first if i < 8 else final) for i in range(1, 11)]
     assert r3.co_optimal == [r3.best]
 
+    # The headline 2^(13-8) case improves inside the loop (iteration 3),
+    # so it pins each particle's own stream, not only the seed.
+    t = template_for(b, 13, 8)
+    r3 = run_algorithm3(
+        t, default_pools(t, True), seq, S=10, T=10, q=QVector(2, 1, 3), seed=4
+    )
+    first = (0, 0, 6, 28, 51, 42, 42, 51, 28, 6, 0, 0, 1,
+             0, 27, 63, 170, 357, 406, 406, 357, 170, 63, 27, 0, 1)
+    final = (0, 0, 0, 55, 0, 96, 0, 87, 0, 16, 0, 1, 0,
+             0, 36, 0, 365, 0, 848, 0, 651, 0, 140, 0, 7, 0)
+    assert r3.best == (1, 2, 1, 11, 7, 13, 31, 19, 22, 26, 21)
+    assert r3.value == final
+    assert r3.trace == [(i, first if i < 3 else final) for i in range(1, 11)]
+    assert r3.co_optimal == [r3.best]
+
     prob = NonregularProblem(BlockStructure.unstructured(8), 6, pool=list(range(64)))
     r4 = run_algorithm4(prob, [("U",)], S=10, T=6, q=QVector(2, 2, 4), seed=1)
     F = Fraction
