@@ -4,9 +4,10 @@ B_{k,i} is the normalized squared projection of every order-k factorial
 effect column onto stratum i.  `compute_Bki_matrix` evaluates it directly
 for any +/-1 design; for regular designs it is the oracle of the one fast
 route, `search.RegularEvaluator`, which counts the defining words aliased
-into each stratum and builds its table with `table_from_counts`.  All
-table entries are exact rationals; floats appear only in rendered
-reports.
+into each stratum from small dual codes (MacWilliams identity, then
+Moebius inversion over the strata) and builds its table with
+`table_from_counts`.  All table entries are exact rationals; floats
+appear only in rendered reports.
 """
 
 from __future__ import annotations

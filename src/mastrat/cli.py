@@ -281,14 +281,15 @@ def cmd_oracle(cfg: dict) -> int:
         if cfg.get("n") is None:
             raise UsageError("nonregular oracle requires --n")
         n = int(cfg["n"])
-        problem = NonregularProblem(b, n, pool=list(range(1 << n)))
-        seq = _sequence_for(cfg, b)
-        problem.set_sequence(seq)
-        size = len(problem.pool) ** problem.n_slots
+        # One of 2^n runs per unit; checked before the 4^n tables are built.
+        size = (1 << n) ** b.N
         if size > cap:
             raise SpaceTooLargeError(
                 f"{size} assignments exceed the cap of {cap}"
             )
+        problem = NonregularProblem(b, n, pool=list(range(1 << n)))
+        seq = _sequence_for(cfg, b)
+        problem.set_sequence(seq)
         best_assign, best_value, ties = None, None, 0
         for assign in itertools.product(
             problem.pool, repeat=problem.n_slots

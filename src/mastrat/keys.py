@@ -8,7 +8,8 @@ filled in, from which designs are expanded.
 Every template key is unit lower triangular: each stratum generator owns
 one key column and stars only earlier columns, so every fill gives an
 invertible key.  `KeyTemplate` checks this once, at construction.  Word
-counts per stratum come from `search.RegularEvaluator`.
+counts per stratum come from `search.RegularEvaluator`, which reads them
+off dual codes of at most N words each, not off all 2^n effects.
 """
 
 from __future__ import annotations

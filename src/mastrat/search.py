@@ -15,6 +15,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -111,75 +112,66 @@ class QVector:
 class RegularEvaluator:
     """Word counts per stratum for generator fills: the one regular route.
 
-    Each effect's unit alias is its image under the design key; the effect
-    lies in the infimum of the unit factors owning the alias's columns
-    (treatment defining words alias to U).  `counts` inverts the key once
-    and classifies all 2^n effects at a time; `value` and `table` are
-    built from it.  `aberration.compute_Bki_matrix` is the independent
-    oracle.
+    An effect lies in the infimum of the unit factors owning its alias's
+    key columns (treatment defining words alias to U), so it lies at or
+    above F exactly when its alias avoids the columns whose owners are not
+    at or above F.  Those effects form a code whose dual is spanned by one
+    n-bit word per such column.  `counts` gets each code's weight
+    distribution from its dual (at most 2^n_basic words, not 2^n effects)
+    by the MacWilliams identity, then splits it into strata by Moebius
+    inversion; `value` and `table` are built from it.
+    `aberration.compute_Bki_matrix` is the independent oracle.
     """
 
     def __init__(self, template: KeyTemplate, sequence: Sequence[Sequence[str]]):
         self.template = template
         self.sequence = [tuple(g) for g in sequence]
-        b = template.structure
-        self.n_strata = len(b.names)
-        # Stratum index per alias value; aliases with the same owners share one.
-        by_owners: dict[frozenset[str], int] = {}
-        self.lookup = np.empty(1 << template.n_basic, dtype=np.int64)
-        for alias in range(self.lookup.size):
-            owners = frozenset(
-                o for c, o in enumerate(template.column_owner) if (alias >> c) & 1
-            )
-            if owners not in by_owners:
-                by_owners[owners] = b.index(b.inf_name(owners))
-            self.lookup[alias] = by_owners[owners]
-        effects = np.arange(1 << template.n, dtype=np.int64)
-        lengths = np.zeros(1 << template.n, dtype=np.int64)
-        for f in range(template.n):
-            lengths += (effects >> f) & 1
-        self._bucket = lengths - 1  # length-1 bucket per effect
-        self._effects = effects
-        self._g_indices = [
-            tuple(b.index(nm) for nm in g) for g in self.sequence
-        ]
+        b, n = template.structure, template.n
+        mu = strata_projectors(b).mobius
+        self._mobius = np.array([[mu.get((f, g), 0) for g in b.names] for f in b.names])
+        # _kraw[w, k] = K_k(w) = sum_j (-1)^j C(w, j) C(n - w, k - j).
+        self._kraw = np.array([np.convolve(
+            [(-1) ** j * comb(w, j) for j in range(w + 1)],
+            [comb(n - w, j) for j in range(n - w + 1)],
+        ) for w in range(n + 1)])
+        # Dual words are indexed by key-column subsets; stratum F sums the
+        # 2^|D| of them inside its dropped columns D (owners not >= F).
+        self._cols = np.arange(template.n_basic)
+        self._subsets = (np.arange(1 << template.n_basic)[:, None] >> self._cols) & 1
+        kept = np.array([[b.leq(f, o) for o in template.column_owner] for f in b.names])
+        self._member = (kept @ self._subsets.T == 0).astype(np.int64)
+        self._shift = (~kept).sum(axis=1, keepdims=True)
+        self._gmat = np.zeros((len(b.names), len(self.sequence)), dtype=np.int64)
+        for j, g in enumerate(self.sequence):
+            self._gmat[[b.index(nm) for nm in g], j] = 1
         self._memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def counts(self, fills: tuple[int, ...]) -> np.ndarray:
         """(n, n_strata) matrix of length-k effect counts per stratum."""
-        masks = GeneratorSet(self.template, fills).alias_masks
-        alias = np.zeros(1 << self.template.n, dtype=np.int64)
-        for f in range(self.template.n):
-            alias ^= ((self._effects >> f) & 1) * masks[f]
-        strata = self.lookup[alias]
-        flat = np.bincount(
-            (strata + self.n_strata * self._bucket)[1:],
-            minlength=self.n_strata * self.template.n,
-        )
-        return flat.reshape(self.template.n, self.n_strata)
+        masks = np.array(GeneratorSet(self.template, fills).alias_masks)
+        # Factor f is in the dual word of a column subset when its alias
+        # has an odd number of bits in that subset.
+        bits = (masks[:, None] >> self._cols) & 1
+        weights = ((self._subsets @ bits.T) & 1).sum(axis=1)
+        # |K| <= C(n, k) < 2^n over at most 2^n_basic words, and templates
+        # cap n at 26, so every int64 sum stays below 2^52.
+        cum = (self._member @ self._kraw[weights]) >> self._shift
+        return (self._mobius @ cum)[:, 1:].T
+
+    def _criterion(self, c: np.ndarray) -> tuple[int, ...]:
+        """The W_G rows of every G in the sequence, concatenated."""
+        return tuple((c @ self._gmat).T.ravel().tolist())
 
     def value(self, fills: tuple[int, ...]) -> tuple[int, ...]:
         hit = self._memo.get(fills)
-        if hit is not None:
-            return hit
-        c = self.counts(fills)
-        out: list[int] = []
-        for g in self._g_indices:
-            seg = c[:, list(g)].sum(axis=1)
-            out.extend(int(v) for v in seg)
-        val = tuple(out)
-        self._memo[fills] = val
-        return val
+        if hit is None:
+            hit = self._memo[fills] = self._criterion(self.counts(fills))
+        return hit
 
     def table(self, fills: tuple[int, ...]) -> WordlengthTable:
-        c = self.counts(fills)
-        counts = {
-            nm: [int(c[k, i]) for k in range(self.template.n)]
-            for i, nm in enumerate(self.template.structure.names)
-        }
-        return table_from_counts(
-            self.template.structure, self.template.n, counts
-        )
+        c, b = self.counts(fills), self.template.structure
+        rows = {nm: c[:, i].tolist() for i, nm in enumerate(b.names)}
+        return table_from_counts(b, self.template.n, rows)
 
 
 @dataclass
@@ -454,7 +446,8 @@ def oracle_regular(
             int(pools[s.pool_key].rows[i])
             for s, i in zip(template.slots, idx)
         )
-        v = evaluator.value(fills)
+        # The memo would never hit: each fill is visited once.
+        v = evaluator._criterion(evaluator.counts(fills))
         if best_value is None or v < best_value:
             best_fills, best_value, ties = fills, v, 1
         elif v == best_value:
@@ -497,6 +490,9 @@ class NonregularProblem:
         distinct: bool = False,
         fraction_size: int | None = None,
     ):
+        if n > 12:
+            # The chi tables below take 3 * 4^n * 8 bytes: 1.6 GB at n = 13.
+            raise SpaceTooLargeError(f"n = {n} exceeds 12 for nonregular search")
         self.structure = structure
         self.n = n
         self.constraints = list(constraints)

@@ -106,6 +106,19 @@ def test_oracle_cap_exceeded(capsys):
     assert "too large" in capsys.readouterr().err
 
 
+def test_oracle_nonregular_checks_cap_before_building(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(
+        "mastrat.search.NonregularProblem.__init__",
+        lambda self, *a, **k: built.append(a),
+    )
+    rc = main(["oracle", "--structure", "8", "--n", "12", "--mode",
+               "nonregular", "--criterion", "forward"])
+    assert rc == 1
+    assert "too large" in capsys.readouterr().err
+    assert built == []
+
+
 def test_oracle_nonregular_complete_factorial(capsys):
     rc = main(["oracle", "--structure", "4", "--n", "2", "--mode",
                "nonregular", "--criterion", "forward", "--cap", "1000"])

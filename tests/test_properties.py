@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -189,7 +190,12 @@ def test_three_way_Bki_agreement(config, seed):
 # keys are checked against the matrix route only.
 @pytest.mark.parametrize(
     "config",
-    [("2/(4x4)", 10, 5, {"rows": 6, "cols": 4}), ("2/4/4", 9, 4, None)],
+    [
+        ("2/(4x4)", 10, 5, {"rows": 6, "cols": 4}),
+        ("2/4/4", 9, 4, None),
+        ("8/4", 13, 8, None),
+        ("8/4", 16, 11, None),
+    ],
 )
 @given(seed=st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=5, deadline=None)
@@ -203,6 +209,59 @@ def test_regular_counts_match_matrix_route(config, seed):
     regular = RegularEvaluator(t, ()).table(gs.fills).b
     matrix = compute_Bki_matrix(expand_design(gs), strata_projectors(b)).b
     assert regular == matrix
+
+
+def brute_force_counts(t, fills):
+    """Classify all 2^n effects by the infimum of their alias's owners."""
+    b, nf = t.structure, len(t.structure.names)
+    lookup = np.array([
+        b.index(b.inf_name({o for c, o in enumerate(t.column_owner) if a >> c & 1}))
+        for a in range(1 << t.n_basic)
+    ])
+    effects = np.arange(1 << t.n, dtype=np.int64)
+    alias, lengths = np.zeros_like(effects), np.zeros_like(effects)
+    for f, mask in enumerate(GeneratorSet(t, fills).alias_masks):
+        alias ^= ((effects >> f) & 1) * mask
+        lengths += (effects >> f) & 1
+    flat = np.bincount((lookup[alias] + nf * (lengths - 1))[1:], minlength=nf * t.n)
+    return flat.reshape(t.n, nf)
+
+
+# Past the matrix route's 16-factor limit, the 2^n enumeration is the check.
+@pytest.mark.parametrize("n", [17, 18, 19])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_regular_counts_match_brute_force(n, seed):
+    t = template_for(parse_structure("8/4"), n, n - 5)
+    gs = random_generator_set(
+        t, default_pools(t, False), np.random.default_rng(seed)
+    )
+    counts = RegularEvaluator(t, ()).counts(gs.fills)
+    assert np.array_equal(counts, brute_force_counts(t, gs.fills))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ("8/4", 13, 8, None),
+        ("2/4/4", 9, 4, None),
+        ("2/(4x4)", 10, 5, {"rows": 6, "cols": 4}),
+    ],
+)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=10, deadline=None)
+def test_regular_counts_invariants(config, seed):
+    expr, n, l0, split = config
+    t = template_for(parse_structure(expr), n, l0, split)
+    gs = random_generator_set(
+        t, default_pools(t, False), np.random.default_rng(seed)
+    )
+    counts = RegularEvaluator(t, ()).counts(gs.fills)
+    # Every length-k effect lies in exactly one stratum.
+    assert counts.sum(axis=1).tolist() == [comb(n, k) for k in range(1, n + 1)]
+    # The U stratum holds exactly the defining contrast subgroup.
+    words = span_enumerate([w for kind, w, _ in gs.generator_words if kind == "U"])
+    weights = [sum(w.bit_count() == k for w in words) for k in range(1, n + 1)]
+    assert counts[:, t.structure.index("U")].tolist() == weights
 
 
 @pytest.mark.parametrize("expr", ["8/4", "4/8", "2/16"])

@@ -1,5 +1,6 @@
 """Swarm-search machinery: q-vectors, MIX, MOVE, and the SIB drivers."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -212,7 +213,30 @@ def test_oracle_space_too_large():
         oracle_regular(t, pools, seq, cap=10**6)
 
 
+def test_oracle_keeps_no_memo():
+    # 8192 fills, each visited once: memoising their values took 2.5 MB.
+    b = parse_structure("2/4/2")
+    t = template_for(b, 6, 2)
+    pools = default_pools(t, False)
+    seq = criterion_sequence(b, "forward")
+    tracemalloc.start()
+    try:
+        result = oracle_regular(t, pools, seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    value = (0, 0, 0, 3, 0, 0, 0, 0, 4, 3, 0, 0, 2, 7, 12, 7, 2, 1)
+    assert result == ((0, 0, 3, 7, 14), value, 36)
+
+
 # ----- nonregular problems -----
+
+def test_nonregular_problem_refuses_large_n():
+    # The 4^n tables would take 1.6 GB at n = 13; refuse before building.
+    with pytest.raises(SpaceTooLargeError):
+        NonregularProblem(BlockStructure.unstructured(8), 13, pool=[0])
+
 
 def test_nonregular_value_matches_matrix_route():
     from mastrat.aberration import compute_Bki_matrix
