@@ -281,7 +281,8 @@ def cmd_oracle(cfg: dict) -> int:
         if cfg.get("n") is None:
             raise UsageError("nonregular oracle requires --n")
         n = int(cfg["n"])
-        # One of 2^n runs per unit; checked before the 4^n tables are built.
+        # One of 2^n runs per unit; checked before the problem and its
+        # 2^n-row tables are built.
         size = (1 << n) ** b.N
         if size > cap:
             raise SpaceTooLargeError(

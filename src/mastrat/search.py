@@ -15,12 +15,12 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .aberration import WordlengthTable, table_from_counts
+from .aberration import WordlengthTable, compute_Bki_matrix, table_from_counts
 from .blocks import BlockStructure, strata_projectors
 from .keys import (
     GeneratorSet,
@@ -109,6 +109,18 @@ class QVector:
 # ---------------------------------------------------------------------
 
 
+def krawtchouk(n: int) -> np.ndarray:
+    """(n+1, n+1) matrix K[w, k] = K_k(w) = sum_j (-1)^j C(w, j) C(n-w, k-j).
+
+    K_k(w) is the sum of (-1)^|S & x| over the order-k effects S of n
+    factors, for any x of weight w.
+    """
+    return np.array([np.convolve(
+        [(-1) ** j * comb(w, j) for j in range(w + 1)],
+        [comb(n - w, j) for j in range(n - w + 1)],
+    ) for w in range(n + 1)])
+
+
 class RegularEvaluator:
     """Word counts per stratum for generator fills: the one regular route.
 
@@ -129,11 +141,7 @@ class RegularEvaluator:
         b, n = template.structure, template.n
         mu = strata_projectors(b).mobius
         self._mobius = np.array([[mu.get((f, g), 0) for g in b.names] for f in b.names])
-        # _kraw[w, k] = K_k(w) = sum_j (-1)^j C(w, j) C(n - w, k - j).
-        self._kraw = np.array([np.convolve(
-            [(-1) ** j * comb(w, j) for j in range(w + 1)],
-            [comb(n - w, j) for j in range(n - w + 1)],
-        ) for w in range(n + 1)])
+        self._kraw = krawtchouk(n)
         # Dual words are indexed by key-column subsets; stratum F sums the
         # 2^|D| of them inside its dropped columns D (owners not >= F).
         self._cols = np.arange(template.n_basic)
@@ -477,6 +485,11 @@ class NonregularProblem:
     mode a slot is a unit; in crossed mode a slot is one sub-design run
     replicated across a whole class of units (e.g. a column of a
     strip-plot), with the other axis held fixed.
+
+    Word counts come from pairwise run distances: for runs a and b the
+    order-k effect columns give sum_{|S|=k} chi_a(S) chi_b(S) =
+    K_k(popcount(a ^ b)), so a class's order-k sum of squared effect
+    totals (its energy) is K_k summed over the ordered pairs of its runs.
     """
 
     def __init__(
@@ -491,7 +504,8 @@ class NonregularProblem:
         fraction_size: int | None = None,
     ):
         if n > 12:
-            # The chi tables below take 3 * 4^n * 8 bytes: 1.6 GB at n = 13.
+            # Each greedy addition step scores up to 2^n pool runs per
+            # empty slot against every unit: 4096 runs at n = 12.
             raise SpaceTooLargeError(f"n = {n} exceeds 12 for nonregular search")
         self.structure = structure
         self.n = n
@@ -514,55 +528,49 @@ class NonregularProblem:
             if slot_units is not None
             else [[u] for u in range(N)]
         )
-        self.direct = all(
-            len(s) == 1 and s[0] == i for i, s in enumerate(self.slot_units)
-        )
         # Full-design run for slot value v at unit u (crossed mode merges
         # the fixed sub-design into the searched one).
         self.slot_run = slot_run or (lambda u, v: v)
         self.n_slots = len(self.slot_units)
-        sd = strata_projectors(structure)
+        self._strata = strata_projectors(structure)
         self.names = structure.names
-        self.mobius = sd.mobius
-        self.classes = {
-            nm: np.array(structure.factor(nm).classes, dtype=np.int64)
-            for nm in self.names
-        }
-        self.n_classes = {
-            nm: structure.factor(nm).n_classes for nm in self.names
-        }
-        # chi[r, S] = product of the +/-1 levels of run r over effect S.
-        runs = np.arange(1 << n, dtype=np.int64)
-        effects = np.arange(1 << n, dtype=np.int64)
-        overlap = np.zeros((1 << n, 1 << n), dtype=np.int64)
-        for f in range(n):
-            overlap += np.outer((runs >> f) & 1, (effects >> f) & 1)
-        self.chi = (1 - 2 * (overlap & 1)).astype(np.float64)
-        self.chi_int = self.chi.astype(np.int64)
-        lengths = np.zeros(1 << n, dtype=np.int64)
-        for f in range(n):
-            lengths += (effects >> f) & 1
-        # kmat[S, k-1] marks the order-k effects; dotting a per-effect
-        # vector with it yields the wordlength pattern.
-        self.kmat = np.zeros((1 << n, n))
-        self.kmat[np.arange(1 << n)[1:], lengths[1:] - 1] = 1.0
-        self.k_index = [np.nonzero(lengths == k)[0] for k in range(n + 1)]
+        self.mobius = self._strata.mobius
+        self.n_classes = np.array(
+            [structure.factor(nm).n_classes for nm in self.names]
+        )
+        # Slots are padded to equal width with unit N, whose class (one past
+        # each factor's last) holds no real unit.
+        self._classes = np.array([
+            structure.factor(nm).classes + (nc,)
+            for nm, nc in zip(self.names, self.n_classes)
+        ])
+        width = max(len(s) for s in self.slot_units)
+        self._units = np.array(
+            [s + [N] * (width - len(s)) for s in self.slot_units]
+        )
+        # _unit_run[u, v]: the full-design run at unit u for slot value v.
+        values = range(1 << n)
+        self._unit_run = np.array(
+            [[self.slot_run(u, v) for v in values] for u in range(N)]
+            + [[0] * len(values)]
+        )
+        # _k_of[x, k - 1] = K_k(popcount(x)), for x the XOR of two runs.
+        popcount = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).sum(1)
+        self._k_of = krawtchouk(n)[popcount, 1:]
         self.sequence: list[tuple[str, ...]] = [("U",)]
-        self._seq_weights: list[dict[str, float]] = []
         self.set_sequence(self.sequence)
 
     def set_sequence(self, sequence: Sequence[Sequence[str]]) -> None:
         self.sequence = [tuple(g) for g in sequence]
-        self._seq_weights = []
-        for gset in self.sequence:
-            w = {}
-            for nm in self.names:
-                total = sum(
-                    self.mobius.get((f, nm), 0) for f in gset
-                )
-                if total:
-                    w[nm] = float(total)
-            self._seq_weights.append(w)
+        # _weights[j, i]: the Moebius weight of factor i's class energies
+        # in W_G for the j-th G.
+        self._weights = np.array(
+            [
+                [sum(self.mobius.get((f, nm), 0) for f in g) for nm in self.names]
+                for g in self.sequence
+            ],
+            dtype=np.int64,
+        ).reshape(len(self.sequence), len(self.names))
 
     def admissible(self, run: int) -> bool:
         return all(ok(run) for ok in self.constraints)
@@ -579,44 +587,22 @@ class NonregularProblem:
 
     def exact_value(self, assignment: Sequence[int]) -> tuple[Fraction, ...]:
         """Exact W_G concatenation for a full assignment."""
-        N = self.structure.N
         units: list[int] = []
         runs: list[int] = []
         for s, v in enumerate(assignment):
             for u in self.slot_units[s]:
                 units.append(u)
                 runs.append(self.slot_run(u, v))
-        chi_rows = self.chi_int[np.array(runs, dtype=np.int64)]
-        order = np.array(units, dtype=np.int64)
-        sums_sq = {}
-        for nm in self.names:
-            cls = self.classes[nm][order]
-            nc = self.n_classes[nm]
-            sums = np.zeros((nc, 1 << self.n), dtype=np.int64)
-            np.add.at(sums, cls, chi_rows)
-            sums_sq[nm] = (sums * sums).sum(axis=0)
-        out: list[Fraction] = []
-        for gset in self.sequence:
-            total = np.zeros(1 << self.n, dtype=np.int64)
-            for f in gset:
-                for g in self.names:
-                    mu = self.mobius.get((f, g))
-                    if mu:
-                        total += mu * self.n_classes[g] * sums_sq[g]
-            for k in range(1, self.n + 1):
-                out.append(
-                    Fraction(
-                        int(total[self.k_index[k]].sum()),
-                        N * self.fraction_size,
-                    )
-                )
-        return tuple(out)
+        r = np.array(runs, dtype=np.int64)
+        cls = self._classes[:, units]
+        same = (cls[:, :, None] == cls[:, None, :]).astype(np.int64)
+        energy = np.einsum("fuv,uvk->fk", same, self._k_of[r[:, None] ^ r])
+        totals = (self._weights * self.n_classes) @ energy
+        den = self.structure.N * self.fraction_size
+        return tuple(Fraction(int(t), den) for t in totals.ravel())
 
     def table(self, assignment: Sequence[int]) -> WordlengthTable:
-        from .aberration import compute_Bki_matrix
-
-        sd = strata_projectors(self.structure)
-        tbl = compute_Bki_matrix(self.design_rows(assignment), sd)
+        tbl = compute_Bki_matrix(self.design_rows(assignment), self._strata)
         if self.fraction_size != self.structure.N:
             scale = Fraction(self.structure.N, self.fraction_size)
             tbl = WordlengthTable(
@@ -628,153 +614,112 @@ class NonregularProblem:
 
 
 class _PartialState:
-    """Incremental per-class sums for greedy MIX steps.
+    """A partial assignment, scored exactly for greedy MIX steps.
 
-    Tracks, per unit factor, the class sums of every effect column over
-    the currently assigned slots, and scores partial designs with
-    per-class averaging so unequal class sizes are handled.
+    A partial design's score is its W_G concatenation with each class's
+    energy averaged over the class's assigned units: per order k, the sum
+    over factors of weight * sum_class energy / count.  Placing (sign=+1)
+    or lifting (sign=-1) the runs A that a slot puts in a class changes
+    its energy by 2 * sign * sum_{a in A, v} K(d(a, v)) + sum_{a, a' in A}
+    K(d(a, a')), v over the class's runs assigned before the step, and its
+    count by sign * |A|: one formula for direct mode (|A| = 1) and crossed
+    mode.
     """
 
     def __init__(self, problem: NonregularProblem, assignment: Sequence[int | None]):
         self.p = problem
         self.values: list[int | None] = list(assignment)
-        p = problem
-        self.sums = {
-            nm: np.zeros((p.n_classes[nm], 1 << p.n))
-            for nm in p.names
-        }
-        self.counts = {
-            nm: np.zeros(p.n_classes[nm], dtype=np.int64) for nm in p.names
-        }
+        self.run = np.full(problem.structure.N, -1, dtype=np.int64)
         for s, v in enumerate(self.values):
-            if v is not None:
-                self._apply(s, v, +1)
-
-    def _apply(self, slot: int, value: int, sign: int) -> None:
-        p = self.p
-        for u in p.slot_units[slot]:
-            row = p.chi[p.slot_run(u, value)]
-            for nm in p.names:
-                c = p.classes[nm][u]
-                self.sums[nm][c] += sign * row
-                self.counts[nm][c] += sign
+            self.set(s, v)
 
     def set(self, slot: int, value: int | None) -> None:
-        old = self.values[slot]
-        if old is not None:
-            self._apply(slot, old, -1)
         self.values[slot] = value
-        if value is not None:
-            self._apply(slot, value, +1)
+        units = self.p.slot_units[slot]
+        self.run[units] = -1 if value is None else self.p._unit_run[units, value]
 
-    def _comp(self, nm: str) -> np.ndarray:
-        s, c = self.sums[nm], self.counts[nm]
-        nz = c > 0
-        if not nz.any():
-            return np.zeros(1 << self.p.n)
-        return ((s[nz] * s[nz]) / c[nz, None]).sum(axis=0)
+    def deltas(
+        self, slots: Sequence[int], values: Sequence[int], sign: int
+    ) -> tuple[np.ndarray, int]:
+        """Exact score changes when each candidate slot takes (sign=+1) or
+        gives up (sign=-1) its value, as integer rows times a common scale.
 
-    def score(self) -> np.ndarray:
+        Returns (rows, scale): row j over scale is candidate j's change.
+        """
         p = self.p
-        comps = {nm: self._comp(nm) for nm in p.names}
-        segs = []
-        for w in p._seq_weights:
-            vec = np.zeros(1 << p.n)
-            for nm, wt in w.items():
-                vec += wt * comps[nm]
-            segs.append(vec @ p.kmat)
-        return np.concatenate(segs)
-
-    # -- batched one-slot what-if scores (direct mode fast path) --------
-
-    def _delta_scores(
-        self, units: np.ndarray, rows: np.ndarray, sign: int
-    ) -> np.ndarray:
-        """Score changes when adding (sign=+1) or removing (sign=-1) one
-        run per candidate; units/rows give each candidate's unit and chi row."""
-        p = self.p
-        m = len(units)
-        deltas = {nm: np.zeros((m, 1 << p.n)) for nm in p.names}
-        for nm in p.names:
-            cls = p.classes[nm][units]
-            s = self.sums[nm][cls]
-            c = self.counts[nm][cls].astype(np.float64)
-            new_s = s + sign * rows
-            new_c = c + sign
-            old_term = np.where(c[:, None] > 0, (s * s) / np.maximum(c, 1)[:, None], 0.0)
-            new_term = np.where(
-                new_c[:, None] > 0,
-                (new_s * new_s) / np.maximum(new_c, 1)[:, None],
-                0.0,
+        live = np.flatnonzero(self.run >= 0)
+        lr = self.run[live]
+        units = p._units[np.asarray(slots)]
+        runs = p._unit_run[units, np.asarray(values)[:, None]]
+        k_live = p._k_of[lr[:, None] ^ lr]
+        k_cross = p._k_of[runs[:, :, None] ^ lr]
+        k_self = p._k_of[runs[:, :, None] ^ runs[:, None, :]]
+        terms, present = [], np.zeros(p.structure.N + 1, dtype=bool)
+        for i in np.flatnonzero(p._weights.any(axis=0)):
+            cls, nc = p._classes[i], p.n_classes[i]
+            lc, uc = cls[live], cls[units]
+            live_hot = (lc[:, None] == np.arange(nc)).astype(np.int64)
+            hot = (uc[:, :, None] == np.arange(nc)).astype(np.int64)
+            energy = live_hot.T @ _same_class_sum(lc, lc, k_live)
+            change = 2 * sign * _same_class_sum(uc, lc, k_cross) + _same_class_sum(
+                uc, uc[:, None], k_self
             )
-            deltas[nm] = new_term - old_term
-        out = []
-        for w in p._seq_weights:
-            vec = np.zeros((m, 1 << p.n))
-            for nm, wt in w.items():
-                vec += wt * deltas[nm]
-            out.append(vec @ p.kmat)
-        return np.concatenate(out, axis=1)
+            count = live_hot.sum(0)
+            new_count = count + sign * hot.sum(1)
+            new_energy = energy + np.einsum("cwj,cwk->cjk", hot, change)
+            present[count] = present[new_count] = True
+            terms.append((i, energy, count, new_energy, new_count))
+        # A class of m runs has order-k energy at most C(n, k) m^2, so its
+        # averaged energies sum to at most 2^n m * scale over the orders.
+        scale = lcm(*np.flatnonzero(present[1:]) + 1)
+        weight = int(np.abs(p._weights).sum(1).max())
+        if (2 * weight * p.structure.N << p.n) * scale >= 2**63:
+            raise OverflowError("greedy scores would overflow int64")
 
-    def best_removal(
-        self, slots: Sequence[int], rng: np.random.Generator | None = None
-    ) -> int:
+        def averaged(e: np.ndarray, m: np.ndarray) -> np.ndarray:
+            return (e * (scale // np.maximum(m, 1))[..., None]).sum(-2)
+
+        out = np.zeros((len(p.sequence), len(units), p.n), dtype=np.int64)
+        for i, energy, count, new_energy, new_count in terms:
+            out += p._weights[:, i, None, None] * (
+                averaged(new_energy, new_count) - averaged(energy, count)
+            )
+        return out.transpose(1, 0, 2).reshape(len(units), -1), scale
+
+    def best_removal(self, slots: Sequence[int], rng: np.random.Generator) -> int:
         """Slot whose removal leaves the best-scoring partial design."""
-        p = self.p
-        if p.direct:
-            units = np.array(slots, dtype=np.int64)
-            rows = p.chi[
-                np.array([p.slot_run(s, self.values[s]) for s in slots])
-            ]
-            scores = self._delta_scores(units, rows, -1)
-            return slots[_lex_argmin(scores, rng)]
-        scores = []
-        for s in slots:
-            v = self.values[s]
-            self.set(s, None)
-            scores.append(self.score())
-            self.set(s, v)
-        return slots[_lex_argmin(np.array(scores), rng)]
+        rows, _ = self.deltas(slots, [self.values[s] for s in slots], -1)
+        return slots[_lex_argmin(rows, rng)]
 
     def best_addition(
-        self,
-        slots: Sequence[int],
-        runs: Sequence[int],
-        rng: np.random.Generator | None = None,
+        self, slots: Sequence[int], runs: Sequence[int], rng: np.random.Generator
     ) -> tuple[int, int]:
         """(slot, run) pair whose addition scores best."""
-        p = self.p
-        if p.direct:
-            su = np.repeat(np.array(slots, dtype=np.int64), len(runs))
-            rr = np.tile(np.array(runs, dtype=np.int64), len(slots))
-            rows = p.chi[rr]
-            scores = self._delta_scores(su, rows, +1)
-            i = _lex_argmin(scores, rng)
-            return int(su[i]), int(rr[i])
         pairs = [(s, r) for s in slots for r in runs]
-        scores = []
-        for s, r in pairs:
-            self.set(s, r)
-            scores.append(self.score())
-            self.set(s, None)
-        return pairs[_lex_argmin(np.array(scores), rng)]
+        rows, _ = self.deltas([s for s, _ in pairs], [r for _, r in pairs], +1)
+        return pairs[_lex_argmin(rows, rng)]
 
 
-def _lex_argmin(
-    scores: np.ndarray, rng: np.random.Generator | None = None
-) -> int:
-    """Row of the lexicographically smallest score vector.
+def _same_class_sum(
+    cls: np.ndarray, other: np.ndarray, k: np.ndarray
+) -> np.ndarray:
+    """Sum of k[..., b, :] over the b with other[..., b] == cls[...]."""
+    same = (cls[..., None] == other).astype(np.int64)
+    return np.einsum("...b,...bk->...k", same, k)
 
-    Near-exact ties (within rounding noise) are broken at random when an
-    rng is supplied, so greedy steps do not always favor low indices.
+
+def _lex_argmin(rows: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of the lexicographically smallest integer row.
+
+    Exact ties are broken at random, so greedy steps do not always favor
+    low indices.
     """
-    rounded = np.round(scores, 9)
-    keys = tuple(rounded[:, j] for j in range(rounded.shape[1] - 1, -1, -1))
-    order = np.lexsort(keys)
-    if rng is None:
-        return int(order[0])
-    best = rounded[order[0]]
-    ties = np.nonzero((rounded == best).all(axis=1))[0]
+    ties = np.arange(len(rows))
+    for col in rows.T:
+        vals = col[ties]
+        ties = ties[vals == vals.min()]
+        if len(ties) == 1:
+            break
     return int(ties[rng.integers(len(ties))])
 
 
@@ -820,12 +765,10 @@ def mix_nonregular(
             if problem.distinct:
                 used = {v for v in state.values if v is not None}
                 options = [r for r in runs if r not in used]
-            if not options:
-                options = sorted(
-                    r
-                    for r in problem.pool
-                    if r not in {v for v in state.values if v is not None}
-                ) if problem.distinct else list(problem.pool)
+                if not options:
+                    options = sorted(r for r in problem.pool if r not in used)
+            elif not options:
+                options = list(problem.pool)
             if not options:
                 raise EmptyCandidateSetError(
                     "no admissible candidate runs for the addition step"

@@ -27,7 +27,15 @@ from mastrat.keys import (
     random_generator_set,
     template_for,
 )
-from mastrat.search import QVector, RegularEvaluator, compare_values, run_algorithm3
+from mastrat.aberration import criterion_vector
+from mastrat.search import (
+    NonregularProblem,
+    QVector,
+    RegularEvaluator,
+    compare_values,
+    fish_patty_problem,
+    run_algorithm3,
+)
 
 STRUCTURES = ["8/4", "2/(4x4)", "2/4/4", "latin16"]
 
@@ -209,6 +217,71 @@ def test_regular_counts_match_matrix_route(config, seed):
     regular = RegularEvaluator(t, ()).table(gs.fills).b
     matrix = compute_Bki_matrix(expand_design(gs), strata_projectors(b)).b
     assert regular == matrix
+
+
+@st.composite
+def structure_exprs(draw, depth=3, max_units=32):
+    """(expression, N) from S ::= INT | S "/" S | "(" S "x" S ")"."""
+    kinds = ["int", "nest", "cross"] if depth > 1 and max_units >= 4 else ["int"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        n = draw(st.sampled_from([k for k in (2, 4, 8, 16, 32) if k <= max_units]))
+        return str(n), n
+    left, n_left = draw(structure_exprs(depth - 1, max_units // 2))
+    right, n_right = draw(structure_exprs(depth - 1, max_units // n_left))
+    expr = f"{left}/{right}" if kind == "nest" else f"({left}x{right})"
+    return expr, n_left * n_right
+
+
+def matrix_value(problem, assignment, sequence):
+    """The W_G concatenation by the projector route, on exact_value's scale."""
+    table = compute_Bki_matrix(
+        problem.design_rows(assignment), strata_projectors(problem.structure)
+    )
+    scale = Fraction(problem.structure.N, problem.fraction_size)
+    return tuple(v * scale for v in criterion_vector(table, sequence))
+
+
+@given(
+    shape=structure_exprs(),
+    n=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=100, deadline=None)
+def test_grammar_structure_values_match_matrix_route(shape, n, seed):
+    expr, N = shape
+    b = parse_structure(expr)
+    assert b.N == N
+    problem = NonregularProblem(b, n, pool=range(1 << n))
+    sequence = admissible_subsets(b)
+    problem.set_sequence(sequence)
+    rng = np.random.default_rng(seed)
+    assignment = tuple(int(v) for v in rng.integers(1 << n, size=N))
+    assert problem.exact_value(assignment) == matrix_value(
+        problem, assignment, sequence
+    )
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=5, deadline=None)
+def test_latin_and_fish_values_match_matrix_route(seed):
+    rng = np.random.default_rng(seed)
+    lat = latin16_structure()
+    problem = NonregularProblem(lat, 6, pool=range(64))
+    sequence = admissible_subsets(lat)
+    problem.set_sequence(sequence)
+    assignment = tuple(int(v) for v in rng.integers(64, size=16))
+    assert problem.exact_value(assignment) == matrix_value(
+        problem, assignment, sequence
+    )
+    # Crossed mode: 7 fixed blends times a searched 4-run sub-design.
+    fish, _ = fish_patty_problem()
+    sequence = [("U",), ("U", "C"), ("U", "R"), ("U", "C", "R")]
+    fish.set_sequence(sequence)
+    assignment = tuple(int(v) for v in rng.integers(8, size=4))
+    assert fish.exact_value(assignment) == matrix_value(
+        fish, assignment, sequence
+    )
 
 
 def brute_force_counts(t, fills):

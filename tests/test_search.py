@@ -2,11 +2,20 @@
 
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mastrat.blocks import BlockStructure, criterion_sequence, parse_structure
+from mastrat.blocks import (
+    BlockStructure,
+    admissible_subsets,
+    criterion_sequence,
+    parse_structure,
+    strata_projectors,
+)
 from mastrat.keys import GeneratorSet, PoolMatrix, default_pools, template_for
 from mastrat.search import (
     EmptyCandidateSetError,
@@ -17,6 +26,7 @@ from mastrat.search import (
     RegularEvaluator,
     Particle,
     SpaceTooLargeError,
+    _PartialState,
     compare_values,
     fish_patty_problem,
     mix_nonregular,
@@ -233,9 +243,104 @@ def test_oracle_keeps_no_memo():
 # ----- nonregular problems -----
 
 def test_nonregular_problem_refuses_large_n():
-    # The 4^n tables would take 1.6 GB at n = 13; refuse before building.
+    # Greedy MIX would score 2^13 pool runs per empty slot; refuse up front.
     with pytest.raises(SpaceTooLargeError):
         NonregularProblem(BlockStructure.unstructured(8), 13, pool=[0])
+
+
+def test_nonregular_problem_builds_no_table_of_effects():
+    # The 4^n table of effect signs took 403 MB here.
+    tracemalloc.start()
+    try:
+        NonregularProblem(BlockStructure.unstructured(8), 12, pool=range(4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+def partial_score(problem, values):
+    """The greedy score of a partial assignment, by its definition.
+
+    Per G and order k: the sum over unit factors of their Moebius weight
+    in W_G times the sum over occupied classes of (class total of an
+    effect column)^2 / (units assigned in the class), summed over the
+    order-k effects, in Fractions from explicit +/-1 columns.
+    """
+    b, n = problem.structure, problem.n
+    mu = strata_projectors(b).mobius
+    levels = {}
+    for s, v in enumerate(values):
+        if v is not None:
+            for u in problem.slot_units[s]:
+                r = problem.slot_run(u, v)
+                levels[u] = [1 - 2 * ((r >> f) & 1) for f in range(n)]
+    per_order = {}
+    for nm in b.names:
+        classes = b.factor(nm).classes
+        per_order[nm] = [Fraction(0)] * (n + 1)
+        for c in {classes[u] for u in levels}:
+            members = [u for u in levels if classes[u] == c]
+            for effect in range(1, 1 << n):
+                bits = [f for f in range(n) if effect >> f & 1]
+                total = sum(prod(levels[u][f] for f in bits) for u in members)
+                per_order[nm][len(bits)] += Fraction(total * total, len(members))
+    return [
+        sum(sum(mu.get((f, nm), 0) for f in g) * per_order[nm][k] for nm in b.names)
+        for g in problem.sequence
+        for k in range(1, n + 1)
+    ]
+
+
+def check_greedy_scores(problem, values, runs):
+    state = _PartialState(problem, values)
+    before = partial_score(problem, values)
+    live = [s for s, v in enumerate(values) if v is not None]
+    empty = [s for s, v in enumerate(values) if v is None]
+    removals = (live, [values[s] for s in live], -1)
+    additions = ([s for s in empty for _ in runs], [r for _ in empty for r in runs], +1)
+    for slots, vals, sign in (removals, additions):
+        rows, scale = state.deltas(slots, vals, sign)
+        assert len(rows) == len(slots)
+        for row, s, v in zip(rows, slots, vals):
+            after = list(values)
+            after[s] = v if sign > 0 else None
+            want = [a - b for a, b in zip(partial_score(problem, after), before)]
+            assert [Fraction(int(x), scale) for x in row] == want
+
+
+def random_partial(rng, problem, runs, holes):
+    values = [int(v) for v in rng.choice(runs, size=problem.n_slots)]
+    for s in rng.choice(problem.n_slots, size=holes, replace=False):
+        values[int(s)] = None
+    return values
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=10, deadline=None)
+def test_greedy_scores_match_definition_direct(seed):
+    rng = np.random.default_rng(seed)
+    b = parse_structure("2/4")
+    problem = NonregularProblem(b, 4, pool=range(16))
+    problem.set_sequence(admissible_subsets(b))
+    check_greedy_scores(problem, random_partial(rng, problem, 16, 3), range(16))
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=10, deadline=None)
+def test_greedy_scores_match_definition_crossed(seed):
+    rng = np.random.default_rng(seed)
+    problem, _ = fish_patty_problem()
+    problem.set_sequence([("U",), ("U", "C"), ("U", "R"), ("U", "C", "R")])
+    check_greedy_scores(problem, random_partial(rng, problem, 8, 2), range(8))
+    # Slots of unequal width, each unit taking its own run for a value.
+    b = parse_structure("2/4")
+    uneven = NonregularProblem(
+        b, 3, pool=range(8), slot_units=[[0, 1, 2], [3, 4], [5], [6, 7]],
+        slot_run=lambda u, v: v ^ (u & 3),
+    )
+    uneven.set_sequence(admissible_subsets(b))
+    check_greedy_scores(uneven, random_partial(rng, uneven, 8, 2), range(8))
 
 
 def test_nonregular_value_matches_matrix_route():
