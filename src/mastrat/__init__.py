@@ -12,7 +12,6 @@ Library layout:
 
 from .aberration import (
     WordlengthTable,
-    compare,
     compute_Bki_matrix,
     compute_W,
     compute_WG,
@@ -39,8 +38,6 @@ from .keys import (
     GeneratorSet,
     KeyTemplate,
     PoolMatrix,
-    algorithm1_complete,
-    algorithm2_fractional,
     default_pools,
     expand_design,
     pool_for,

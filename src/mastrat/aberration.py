@@ -199,16 +199,6 @@ def criterion_vector(
     return tuple(out)
 
 
-def compare(a: Sequence[Fraction], b: Sequence[Fraction]) -> int:
-    """Lexicographic order; -1, 0, or 1."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    return 0
-
-
 def format_value(v: Fraction) -> str:
     if v.denominator == 1:
         return str(v.numerator)

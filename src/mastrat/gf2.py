@@ -108,9 +108,6 @@ class BitMatrix:
     def bit(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def to_bits(self) -> list[tuple[int, ...]]:
-        return [mask_to_bits(r, self.width) for r in self.rows]
-
     def transpose(self) -> "BitMatrix":
         cols = []
         for j in range(self.width):

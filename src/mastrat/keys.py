@@ -7,9 +7,10 @@ filled in, from which designs are expanded.
 
 Every template key is unit lower triangular: each stratum generator owns
 one key column and stars only earlier columns, so every fill gives an
-invertible key.  `KeyTemplate` checks this once, at construction.  Word
-counts per stratum come from `search.RegularEvaluator`, which reads them
-off dual codes of at most N words each, not off all 2^n effects.
+invertible key.  `KeyTemplate` checks this once, at construction.  The
+search inverts keys in batches by forward substitution (in
+`search.RegularEvaluator`); `GeneratorSet`'s Gauss-Jordan inverse serves
+design expansion and is the independent route the tests check against.
 """
 
 from __future__ import annotations
@@ -136,15 +137,13 @@ class KeyTemplate:
                 counts[owner] = counts.get(owner, 0) + 1
         return counts
 
-    def slot_indices(self, pool_key: str) -> list[int]:
-        return [i for i, s in enumerate(self.slots) if s.pool_key == pool_key]
-
-    def pool_keys(self) -> list[str]:
-        seen: list[str] = []
-        for s in self.slots:
-            if s.pool_key not in seen:
-                seen.append(s.pool_key)
-        return seen
+    @cached_property
+    def pool_slots(self) -> dict[str, tuple[int, ...]]:
+        """Slot indices per pool key, pools in order of their first slot."""
+        out: dict[str, tuple[int, ...]] = {}
+        for i, s in enumerate(self.slots):
+            out[s.pool_key] = out.get(s.pool_key, ()) + (i,)
+        return out
 
 
 def _class_local_bits(
@@ -421,7 +420,7 @@ def pool_for(template: KeyTemplate, pool_key: str, reduced: bool) -> PoolMatrix:
     length >= 3); stratum pools drop the all-zero fill (no main effect
     becomes a pure stratum word).
     """
-    idx = template.slot_indices(pool_key)
+    idx = template.pool_slots.get(pool_key)
     if not idx:
         raise KeyError(f"template has no slots for pool {pool_key!r}")
     width = template.slots[idx[0]].width
@@ -439,7 +438,7 @@ def pool_for(template: KeyTemplate, pool_key: str, reduced: bool) -> PoolMatrix:
 def default_pools(
     template: KeyTemplate, reduced: bool
 ) -> dict[str, PoolMatrix]:
-    return {k: pool_for(template, k, reduced) for k in template.pool_keys()}
+    return {k: pool_for(template, k, reduced) for k in template.pool_slots}
 
 
 @dataclass(frozen=True)
@@ -585,30 +584,6 @@ def random_generator_set(
     return GeneratorSet(template, tuple(fills))
 
 
-def algorithm1_complete(
-    template: KeyTemplate,
-    pools: Mapping[str, PoolMatrix],
-    rng: np.random.Generator,
-    distinct_within_stratum: bool = False,
-) -> GeneratorSet:
-    """Design key for complete factorials (no treatment generators)."""
-    if template.l0 != 0:
-        raise InfeasibleTemplateError("complete factorial requires l0 = 0")
-    return random_generator_set(template, pools, rng, distinct_within_stratum)
-
-
-def algorithm2_fractional(
-    template: KeyTemplate,
-    pools: Mapping[str, PoolMatrix],
-    rng: np.random.Generator,
-    distinct_within_stratum: bool = False,
-) -> GeneratorSet:
-    """Design key for fractional factorials: Algorithm 1 plus l0 added rows."""
-    if template.l0 == 0:
-        return algorithm1_complete(template, pools, rng, distinct_within_stratum)
-    return random_generator_set(template, pools, rng, distinct_within_stratum)
-
-
 def defining_words_text(gs: GeneratorSet) -> str:
     """Human-readable generator summary, letters per the factor order."""
     lines = []
@@ -621,11 +596,11 @@ def defining_words_text(gs: GeneratorSet) -> str:
 def check_pool_widths(
     template: KeyTemplate, pools: Mapping[str, PoolMatrix]
 ) -> None:
-    for key in template.pool_keys():
+    for key, idx in template.pool_slots.items():
         pool = pools.get(key)
         if pool is None:
             raise KeyError(f"missing pool {key!r}")
-        width = template.slots[template.slot_indices(key)[0]].width
+        width = template.slots[idx[0]].width
         if pool.width != width:
             raise ValueError(
                 f"pool {key!r} width {pool.width} != slot width {width}"

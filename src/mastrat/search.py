@@ -2,11 +2,14 @@
 
 One discrete particle-swarm (SIB-style) loop serves both search spaces:
 particles are generator fills for regular designs or unit-to-run
-assignments for nonregular designs.  Each iteration MIXes a particle
+assignments for nonregular designs.  Each iteration MIXes every particle
 toward the global best, its local best, and fresh pool draws, then MOVEs
-to the best of candidate / current / local best, with a random
-perturbation to escape stagnation.  The search runs on one thread;
-parallel runs are independent seeds in separate processes.
+it to the best of candidate / current / local best, with a random
+perturbation to escape stagnation; the candidates are scored in one
+batch and the perturbed positions in a second.  `RegularEvaluator.counts`
+takes one key or a batch, and inverts each unit lower triangular key by
+forward substitution.  The search runs on one thread; parallel runs are
+independent seeds in separate processes.
 """
 
 from __future__ import annotations
@@ -15,20 +18,14 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .aberration import WordlengthTable, compute_Bki_matrix, table_from_counts
 from .blocks import BlockStructure, strata_projectors
-from .keys import (
-    GeneratorSet,
-    KeyTemplate,
-    PoolMatrix,
-    check_pool_widths,
-    random_generator_set,
-)
+from .keys import KeyTemplate, PoolMatrix, check_pool_widths, random_generator_set
 
 
 class InvalidQError(ValueError):
@@ -78,17 +75,12 @@ class QVector:
         self, template: KeyTemplate, rng: np.random.Generator
     ) -> dict[str, tuple[int, int, int]]:
         """Resolve to per-pool (gb, lb, new) counts, bounded by slot counts."""
-        keys = template.pool_keys()
-        sizes = {k: len(template.slot_indices(k)) for k in keys}
-        out = {k: [0, 0, 0] for k in keys}
+        sizes = {k: len(idx) for k, idx in template.pool_slots.items()}
+        out = {k: [0, 0, 0] for k in sizes}
         for j, q in enumerate((self.q_gb, self.q_lb, self.q_new)):
             if isinstance(q, int):
                 # Scalar totals are spread over randomly chosen free positions.
-                free = [
-                    k
-                    for k in keys
-                    for _ in range(sizes[k] - sum(out[k]))
-                ]
+                free = [k for k, v in out.items() for _ in range(sizes[k] - sum(v))]
                 take = min(q, len(free))
                 for k in rng.choice(len(free), size=take, replace=False) if take else []:
                     out[free[int(k)]][j] += 1
@@ -131,50 +123,92 @@ class RegularEvaluator:
     n-bit word per such column.  `counts` gets each code's weight
     distribution from its dual (at most 2^n_basic words, not 2^n effects)
     by the MacWilliams identity, then splits it into strata by Moebius
-    inversion; `value` and `table` are built from it.
+    inversion; `value` and `table` are built from it.  `counts` takes one
+    fills tuple or a batch of them, and every step runs over the batch.
     `aberration.compute_Bki_matrix` is the independent oracle.
     """
 
     def __init__(self, template: KeyTemplate, sequence: Sequence[Sequence[str]]):
         self.template = template
         self.sequence = [tuple(g) for g in sequence]
-        b, n = template.structure, template.n
+        b, n, t = template.structure, template.n, template
         mu = strata_projectors(b).mobius
         self._mobius = np.array([[mu.get((f, g), 0) for g in b.names] for f in b.names])
         self._kraw = krawtchouk(n)
         # Dual words are indexed by key-column subsets; stratum F sums the
         # 2^|D| of them inside its dropped columns D (owners not >= F).
         self._cols = np.arange(template.n_basic)
-        self._subsets = (np.arange(1 << template.n_basic)[:, None] >> self._cols) & 1
+        self._subsets = np.arange(1 << template.n_basic)
         kept = np.array([[b.leq(f, o) for o in template.column_owner] for f in b.names])
-        self._member = (kept @ self._subsets.T == 0).astype(np.int64)
+        inside = self._subsets & (kept @ (1 << self._cols))[:, None]
+        self._member = (inside == 0).astype(np.int64)
         self._shift = (~kept).sum(axis=1, keepdims=True)
         self._gmat = np.zeros((len(b.names), len(self.sequence)), dtype=np.int64)
         for j, g in enumerate(self.sequence):
             self._gmat[[b.index(nm) for nm in g], j] = 1
+        # Aliases over the key columns: a basic factor starts from its own
+        # column, an added factor from 0.  The key is unit lower triangular,
+        # so taking stratum generators in column order (forward
+        # substitution), then shared strip-plot words, then treatment
+        # words, each step XORs the final aliases of the other factors in
+        # its generator word: the fixed ones, and the starred ones whose
+        # fill bit is set.
+        self._alias0 = np.zeros(n, dtype=np.int64)
+        self._alias0[list(t.basic_factors)] = 1 << self._cols
+        col = {i: s.column for i, s in enumerate(t.slots) if s.role == "stratum"}
+        gens = (
+            [(t.basic_factors[col[i]], (i,)) for i in sorted(col, key=col.get)]
+            + [(f, (r, c)) for r, c, f in t.shared_u]
+            + [(s.added_factor, (i,)) for i, s in enumerate(t.slots) if s.role == "u"]
+        )
+        self._steps, terms = [], []
+        for f, idx in gens:
+            fixed = [p for i in idx for p in range(n)
+                     if t.slots[i].fixed_mask >> p & 1 and p != f]
+            stars = [(i, j, p) for i in idx
+                     for j, p in enumerate(t.slots[i].star_positions)]
+            self._steps.append((f, fixed, slice(len(terms), len(terms) + len(stars)),
+                                [p for *_, p in stars]))
+            terms += stars
+        # Fill bit j of slot i, for every starred term of every step.
+        self._slot, self._bit, _ = np.array(terms, dtype=np.intp).reshape(-1, 3).T
+        # _parity[x]: the parity of the bits of a key-column subset x.
+        self._parity = ((self._subsets[:, None] >> self._cols) & 1).sum(1) & 1
         self._memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def counts(self, fills: tuple[int, ...]) -> np.ndarray:
-        """(n, n_strata) matrix of length-k effect counts per stratum."""
-        masks = np.array(GeneratorSet(self.template, fills).alias_masks)
+    def counts(self, fills: Sequence | np.ndarray) -> np.ndarray:
+        """Length-k effect counts per stratum: an (n, n_strata) matrix for
+        one fills tuple, an (m, n, n_strata) array for an (m, slots) batch."""
+        batch = np.array(fills, dtype=np.int64, ndmin=2)
+        on = (batch[:, self._slot] >> self._bit & 1).T
+        masks = np.repeat(self._alias0[:, None], len(batch), axis=1)
+        for f, fixed, terms, star in self._steps:
+            masks[f] ^= np.bitwise_xor.reduce(on[terms] * masks[star], axis=0)
+            for p in fixed:
+                masks[f] ^= masks[p]
         # Factor f is in the dual word of a column subset when its alias
         # has an odd number of bits in that subset.
-        bits = (masks[:, None] >> self._cols) & 1
-        weights = ((self._subsets @ bits.T) & 1).sum(axis=1)
+        odd = self._parity[masks.T[:, :, None] & self._subsets]
         # |K| <= C(n, k) < 2^n over at most 2^n_basic words, and templates
         # cap n at 26, so every int64 sum stays below 2^52.
-        cum = (self._member @ self._kraw[weights]) >> self._shift
-        return (self._mobius @ cum)[:, 1:].T
+        cum = (self._member @ self._kraw[odd.sum(axis=1)]) >> self._shift
+        out = (self._mobius @ cum)[..., 1:].swapaxes(1, 2)
+        return out if np.ndim(fills) == 2 else out[0]
 
-    def _criterion(self, c: np.ndarray) -> tuple[int, ...]:
-        """The W_G rows of every G in the sequence, concatenated."""
-        return tuple((c @ self._gmat).T.ravel().tolist())
+    def _criteria(self, c: np.ndarray) -> np.ndarray:
+        """Per key of a counts batch, the W_G rows of the sequence, concatenated."""
+        return (c @ self._gmat).swapaxes(1, 2).reshape(len(c), -1)
+
+    def values(self, batch: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """Criteria of fills tuples; one `counts` batch scores the unseen ones."""
+        memo = self._memo
+        new = list(dict.fromkeys(f for f in batch if f not in memo))
+        if new:
+            memo.update(zip(new, map(tuple, self._criteria(self.counts(new)).tolist())))
+        return [memo[f] for f in batch]
 
     def value(self, fills: tuple[int, ...]) -> tuple[int, ...]:
-        hit = self._memo.get(fills)
-        if hit is None:
-            hit = self._memo[fills] = self._criterion(self.counts(fills))
-        return hit
+        return self.values([fills])[0]
 
     def table(self, fills: tuple[int, ...]) -> WordlengthTable:
         c, b = self.counts(fills), self.template.structure
@@ -207,14 +241,16 @@ def mix_regular(
     template: KeyTemplate,
     pools: Mapping[str, PoolMatrix],
     q: QVector,
-    evaluator: RegularEvaluator,
     rng: np.random.Generator,
-) -> Particle:
-    """Three-source position swaps: GB fills, LB fills, then fresh draws."""
+) -> tuple[int, ...]:
+    """Three-source position swaps: GB fills, LB fills, then fresh draws.
+
+    Returns the candidate position; the swarm scores candidates in batches.
+    """
     plan = q.per_pool(template, rng)
     fills = list(x.pos)
     for key, (n_gb, n_lb, n_new) in plan.items():
-        idx = template.slot_indices(key)
+        idx = template.pool_slots[key]
         total = n_gb + n_lb + n_new
         if total == 0:
             continue
@@ -228,8 +264,7 @@ def mix_regular(
             else:
                 pool = pools[key]
                 fills[pos] = int(pool.rows[rng.integers(len(pool.rows))])
-    cand = tuple(fills)
-    return Particle(cand, evaluator.value(cand))
+    return tuple(fills)
 
 
 def compare_values(a: Sequence, b: Sequence) -> int:
@@ -286,8 +321,8 @@ def _swarm(
     seed: int,
     *,
     init: Callable[[np.random.Generator], tuple],
-    value: Callable[[tuple], tuple],
-    mix: Callable[[Particle, Particle, Particle, np.random.Generator], Particle],
+    values: Callable[[list[tuple]], list[tuple]],
+    mix: Callable[[Particle, Particle, Particle, np.random.Generator], tuple],
     perturb: Callable[[tuple, np.random.Generator], tuple],
     table: Callable[[tuple], WordlengthTable],
     refine: Callable[[Particle], Particle] = lambda p: p,
@@ -295,32 +330,36 @@ def _swarm(
     """The SIB loop shared by Algorithms 3 and 4.
 
     Every particle draws from its own stream spawned from ``seed``, so a
-    seeded run is reproducible.  ``refine`` is applied to each new global
-    best before it is adopted.
+    seeded run is reproducible.  ``values`` scores a list of positions.
+    An iteration runs in passes: every particle MIXes a candidate, the
+    candidates are scored in one batch, every particle MOVEs (drawing a
+    perturbation when its candidate trails), and the perturbed positions
+    are scored in a second batch.  The global best is fixed within an
+    iteration and scoring draws no random numbers, so each stream sees the
+    draws of a particle-by-particle loop.  ``refine`` is applied to each
+    new global best before it is adopted.
     """
     start = time.monotonic()
-    streams = [
-        np.random.default_rng(s)
-        for s in np.random.SeedSequence(seed).spawn(S)
-    ]
-    particles = []
-    for rng in streams:
-        pos = init(rng)
-        particles.append(Particle(pos, value(pos)))
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(S)]
+    starts = [init(rng) for rng in streams]
+    particles = [Particle(pos, v) for pos, v in zip(starts, values(starts))]
     gb = min(particles, key=lambda p: p.value)
     gb = refine(Particle(gb.pos, gb.value))
     co_optimal: dict[tuple, None] = {gb.pos: None}
     trace: list[tuple[int, tuple]] = [(1, gb.value)]
 
     for t in range(2, T + 1):
-        for p, rng in zip(particles, streams):
-
-            def perturb_particle(cur: Particle) -> Particle:
-                pos = perturb(cur.pos, rng)
-                return Particle(pos, value(pos))
-
-            lb = Particle(p.lb_pos, p.lb_value)
-            new = move(mix(p, gb, lb, rng), p, lb, perturb_particle)
+        lbs = [Particle(p.lb_pos, p.lb_value) for p in particles]
+        cands = [mix(p, gb, lb, rng) for p, lb, rng in zip(particles, lbs, streams)]
+        moved = [
+            move(Particle(c, v), p, lb,
+                 lambda cur, rng=rng: Particle(perturb(cur.pos, rng), None))
+            for c, v, p, lb, rng in zip(cands, values(cands), particles, lbs, streams)
+        ]
+        fresh = [m for m in moved if m.value is None]  # perturbed, not yet scored
+        for m, v in zip(fresh, values([m.pos for m in fresh])):
+            m.value = v
+        for p, new in zip(particles, moved):
             p.pos, p.value = new.pos, new.value
             if compare_values(p.value, p.lb_value) < 0:
                 p.lb_pos, p.lb_value = p.pos, p.value
@@ -376,8 +415,8 @@ def run_algorithm3(
     """SIB search for regular multi-stratum designs.
 
     With ``polish`` enabled, every new global best is refined by
-    coordinate descent over the generator slots before being adopted.
-    ``threads`` is accepted only as 1.
+    coordinate descent over the generator slots, one batch of pool rows
+    per slot, before being adopted.  ``threads`` is accepted only as 1.
     """
     _check_run_args(S, T, threads)
     check_pool_widths(template, pools)
@@ -392,15 +431,13 @@ def run_algorithm3(
         while improved:
             improved = False
             for pos, slot in enumerate(template.slots):
-                cur = fills[pos]
-                for r in pools[slot.pool_key].rows:
-                    if int(r) == cur:
-                        continue
-                    fills[pos] = int(r)
-                    v = evaluator.value(tuple(fills))
-                    if v < value:
-                        value, cur, improved = v, int(r), True
-                fills[pos] = cur
+                rows = pools[slot.pool_key].rows
+                vals = evaluator.values(
+                    [(*fills[:pos], int(r), *fills[pos + 1:]) for r in rows]
+                )
+                i = min(range(len(rows)), key=vals.__getitem__)
+                if vals[i] < value:
+                    value, fills[pos], improved = vals[i], int(rows[i]), True
         return Particle(tuple(fills), value)
 
     def perturb(pos: tuple, rng: np.random.Generator) -> tuple:
@@ -417,10 +454,8 @@ def run_algorithm3(
         init=lambda rng: random_generator_set(
             template, pools, rng, distinct_within_stratum
         ).fills,
-        value=evaluator.value,
-        mix=lambda x, gb, lb, rng: mix_regular(
-            x, gb, lb, template, pools, q, evaluator, rng
-        ),
+        values=evaluator.values,
+        mix=lambda x, gb, lb, rng: mix_regular(x, gb, lb, template, pools, q, rng),
         perturb=perturb,
         table=evaluator.table,
         refine=polish_best,
@@ -435,40 +470,32 @@ def oracle_regular(
 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Exhaustive minimum over all pool combinations.
 
-    Returns (best fills, best value, number of co-optimal combinations).
+    Returns (best fills, best value, number of co-optimal combinations):
+    the first minimum in enumeration order, the last slot varying fastest.
     """
     check_pool_widths(template, pools)
-    sizes = [len(pools[s.pool_key].rows) for s in template.slots]
-    space = 1
-    for s in sizes:
-        space *= s
+    rows = [np.array(pools[s.pool_key].rows, dtype=np.int64) for s in template.slots]
+    space = prod(len(r) for r in rows)
     if space > cap:
         raise SpaceTooLargeError(f"search space has {space} combinations")
     evaluator = RegularEvaluator(template, sequence)
-    best_fills: tuple[int, ...] | None = None
-    best_value: tuple[int, ...] | None = None
-    ties = 0
-    idx = [0] * len(sizes)
-    while True:
-        fills = tuple(
-            int(pools[s.pool_key].rows[i])
-            for s, i in zip(template.slots, idx)
-        )
-        # The memo would never hit: each fill is visited once.
-        v = evaluator._criterion(evaluator.counts(fills))
-        if best_value is None or v < best_value:
-            best_fills, best_value, ties = fills, v, 1
-        elif v == best_value:
-            ties += 1
-        pos = len(sizes) - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < sizes[pos]:
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
+    # Each fill is visited once, so nothing is memoised; chunks keep the
+    # largest batch array, (keys, 2^n_basic, n + 1) int64, near 256 kB.
+    chunk = max(1, (1 << 15) // ((template.n + 1) << template.n_basic))
+    best_fills, best_value, ties = None, None, 0
+    for first in range(0, space, chunk):
+        flat = np.arange(first, min(first + chunk, space))
+        fills = np.empty((len(flat), len(rows)), dtype=np.int64)
+        for j in reversed(range(len(rows))):
+            flat, digit = np.divmod(flat, len(rows[j]))
+            fills[:, j] = rows[j][digit]
+        v = evaluator._criteria(evaluator.counts(fills))
+        at = _lex_ties(v)
+        value = tuple(v[at[0]].tolist())
+        if best_value is None or value < best_value:
+            best_fills, best_value, ties = tuple(fills[at[0]].tolist()), value, len(at)
+        elif value == best_value:
+            ties += len(at)
     return best_fills, best_value, ties
 
 
@@ -708,18 +735,24 @@ def _same_class_sum(
     return np.einsum("...b,...bk->...k", same, k)
 
 
-def _lex_argmin(rows: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of the lexicographically smallest integer row.
-
-    Exact ties are broken at random, so greedy steps do not always favor
-    low indices.
-    """
+def _lex_ties(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the lexicographically smallest integer rows."""
     ties = np.arange(len(rows))
     for col in rows.T:
         vals = col[ties]
         ties = ties[vals == vals.min()]
         if len(ties) == 1:
             break
+    return ties
+
+
+def _lex_argmin(rows: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of the lexicographically smallest integer row.
+
+    Exact ties are broken at random, so greedy steps do not always favor
+    low indices.
+    """
+    ties = _lex_ties(rows)
     return int(ties[rng.integers(len(ties))])
 
 
@@ -730,14 +763,15 @@ def mix_nonregular(
     problem: NonregularProblem,
     q: QVector,
     rng: np.random.Generator,
-) -> Particle:
+) -> tuple[int, ...]:
     """Per-source MIX: for GB, LB, then the pool, greedily delete q_i runs
-    and greedily refill them from that source."""
+    and greedily refill them from that source.  Returns the candidate
+    position; the swarm scores candidates in batches."""
     n_gb, n_lb, n_new = q.totals()
     if n_gb + n_lb + n_new > problem.n_slots:
         raise InvalidQError("q total exceeds the number of runs")
     if n_gb + n_lb + n_new == 0:
-        return Particle(x.pos, x.value)
+        return x.pos
     state = _PartialState(problem, x.pos)
     # The third source is the whole run pool; randomized tie-breaking in
     # the greedy steps keeps that phase stochastic.
@@ -775,10 +809,10 @@ def mix_nonregular(
                 )
             s, r = state.best_addition(empty, options, rng)
             state.set(s, r)
-    final = tuple(v for v in state.values)
+    final = tuple(state.values)
     if any(v is None for v in final):
         raise EmptyCandidateSetError("addition step left empty slots")
-    return Particle(final, problem.exact_value(final))
+    return final
 
 
 def _random_assignment(
@@ -830,7 +864,7 @@ def run_algorithm4(
     return _swarm(
         "nonregular", sequence, S, T, q, seed,
         init=lambda rng: _random_assignment(problem, rng),
-        value=problem.exact_value,
+        values=lambda batch: [problem.exact_value(p) for p in batch],
         mix=lambda x, gb, lb, rng: mix_nonregular(x, gb, lb, problem, q, rng),
         perturb=perturb,
         table=problem.table,

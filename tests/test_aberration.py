@@ -13,7 +13,6 @@ from mastrat.aberration import (
     compute_Bki_matrix,
     compute_W,
     compute_WG,
-    compare,
     criterion_vector,
     format_pattern,
     format_value,
@@ -28,7 +27,7 @@ from mastrat.blocks import (
 )
 from mastrat.fixtures import oa8_m, pb8
 from mastrat.keys import template_for
-from mastrat.search import RegularEvaluator
+from mastrat.search import RegularEvaluator, compare_values
 
 
 def full_factorial(n):
@@ -174,20 +173,20 @@ def test_criterion_vector_concatenates():
 def test_compare_backward_head():
     d1 = tuple(map(Fraction, (0, 22, 80, 163)))
     d3 = tuple(map(Fraction, (0, 30, 36, 255)))
-    assert compare(d1, d3) == -1
+    assert compare_values(d1, d3) == -1
 
 
 def test_compare_forward_head():
     d2 = tuple(map(Fraction, (0, 0, 0, 55)))
     d3 = tuple(map(Fraction, (0, 0, 4, 38)))
-    assert compare(d2, d3) == -1 and compare(d3, d2) == 1
+    assert compare_values(d2, d3) == -1 and compare_values(d3, d2) == 1
 
 
 def test_compare_equal_and_mismatch():
     v = (Fraction(1), Fraction(2))
-    assert compare(v, v) == 0
+    assert compare_values(v, v) == 0
     with pytest.raises(ValueError):
-        compare(v, v + (Fraction(0),))
+        compare_values(v, v + (Fraction(0),))
 
 
 def test_compare_total_order_sorting():

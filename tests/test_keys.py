@@ -12,8 +12,6 @@ from mastrat.keys import (
     GeneratorSet,
     InfeasibleTemplateError,
     PoolMatrix,
-    algorithm1_complete,
-    algorithm2_fractional,
     check_pool_widths,
     default_pools,
     expand_design,
@@ -129,7 +127,7 @@ def test_full_width2_pool():
 
 def test_reduced_pool_subset_of_full():
     t = template_for(parse_structure("8/4"), 13, 8)
-    for key in t.pool_keys():
+    for key in t.pool_slots:
         full = set(pool_for(t, key, False).rows)
         red = set(pool_for(t, key, True).rows)
         assert red < full
@@ -157,26 +155,25 @@ def test_blocked_generator_words():
     assert gs.is_invertible()
 
 
-def test_algorithm1_deterministic():
+def test_random_generator_set_deterministic():
     t = template_for(parse_structure("8/4"), 5, 0)
     pools = default_pools(t, True)
-    a = algorithm1_complete(t, pools, np.random.default_rng(9))
-    b = algorithm1_complete(t, pools, np.random.default_rng(9))
+    a = random_generator_set(t, pools, np.random.default_rng(9))
+    b = random_generator_set(t, pools, np.random.default_rng(9))
     assert a.fills == b.fills
 
 
-def test_algorithm1_rejects_fractional_template():
-    t = template_for(parse_structure("8/4"), 13, 8)
-    with pytest.raises(InfeasibleTemplateError):
-        algorithm1_complete(t, default_pools(t, True), np.random.default_rng(0))
-
-
-def test_algorithm2_delegates_when_complete():
-    t = template_for(parse_structure("8/4"), 5, 0)
-    pools = default_pools(t, True)
-    a = algorithm2_fractional(t, pools, np.random.default_rng(4))
-    b = algorithm1_complete(t, pools, np.random.default_rng(4))
-    assert a.fills == b.fills
+def test_random_generator_set_fills_every_slot():
+    # Complete templates have stratum slots only; fractional ones add one
+    # treatment slot per added factor, filled from the same stream.
+    b = parse_structure("8/4")
+    for n, l0 in ((5, 0), (13, 8)):
+        t = template_for(b, n, l0)
+        pools = default_pools(t, True)
+        gs = random_generator_set(t, pools, np.random.default_rng(4))
+        assert len(gs.fills) == len(t.slots) == 3 + l0
+        assert all(f in pools[s.pool_key].rows for s, f in zip(t.slots, gs.fills))
+        assert sum(s.role == "u" for s in t.slots) == l0
 
 
 def test_exhausted_retries_on_degenerate_pool():
@@ -227,7 +224,7 @@ def test_expand_roundtrip_key_inverse():
 def test_expand_fraction_distinct_runs():
     t = template_for(parse_structure("2/4/2"), 5, 1)
     pools = default_pools(t, True)
-    gs = algorithm2_fractional(t, pools, np.random.default_rng(5))
+    gs = random_generator_set(t, pools, np.random.default_rng(5))
     d = expand_design(gs)
     rows = {tuple(r) for r in d}
     assert len(rows) == 16  # 2^(n - l0) distinct combinations on 16 units
@@ -261,7 +258,7 @@ def test_words_by_stratum_blocked():
 
 def test_words_partition_count():
     t = template_for(parse_structure("2/4/2"), 5, 1)
-    gs = algorithm2_fractional(t, default_pools(t, True), np.random.default_rng(8))
+    gs = random_generator_set(t, default_pools(t, True), np.random.default_rng(8))
     c = RegularEvaluator(t, ()).counts(gs.fills)
     # Every nonzero treatment effect lands in exactly one stratum.
     assert c.sum() == 2**5 - 1
@@ -269,7 +266,7 @@ def test_words_partition_count():
 
 def test_fractional_words_include_treatment_stratum():
     t = template_for(parse_structure("2/4/2"), 5, 1)
-    gs = algorithm2_fractional(t, default_pools(t, True), np.random.default_rng(8))
+    gs = random_generator_set(t, default_pools(t, True), np.random.default_rng(8))
     u = RegularEvaluator(t, ()).counts(gs.fills)[:, t.structure.index("U")]
     # Reduced pools: the defining words have length >= 3.
     assert u.sum() >= 1 and not u[:2].any()

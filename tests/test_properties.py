@@ -300,6 +300,72 @@ def brute_force_counts(t, fills):
     return flat.reshape(t.n, nf)
 
 
+# Functions added in NumPy 2.0 or later; pyproject.toml allows 1.24.
+NUMPY2_ONLY = (
+    "bitwise_count", "concat", "unstack", "permute_dims", "matrix_transpose",
+    "vecdot", "isdtype", "astype", "pow", "acos", "atan2",
+)
+
+
+def test_regular_route_needs_no_numpy2_functions(monkeypatch):
+    t = template_for(parse_structure("8/4"), 13, 8)
+    rng = np.random.default_rng(0)
+    batch = [random_generator_set(t, default_pools(t, False), rng).fills for _ in range(3)]
+    expected = np.array([brute_force_counts(t, f) for f in batch])
+    pools, seq = default_pools(t, True), [("U",), ("B",)]
+    seeded = run_algorithm3(t, pools, seq, S=4, T=3, q=QVector(1, 0, 1), seed=1)
+    for name in NUMPY2_ONLY:
+        monkeypatch.delattr(np, name, raising=False)
+    evaluator = RegularEvaluator(t, seq)
+    assert np.array_equal(evaluator.counts(batch), expected)
+    assert np.array_equal(evaluator.counts(batch[0]), expected[0])
+    again = run_algorithm3(t, pools, seq, S=4, T=3, q=QVector(1, 0, 1), seed=1)
+    assert (again.best, again.value, again.trace) == (
+        seeded.best, seeded.value, seeded.trace
+    )
+
+
+@st.composite
+def regular_batches(draw):
+    """A template on a grammar structure of depth <= 3 and N <= 32, a
+    nesting chain a/b/c or a blocked strip-plot b/(r x c), with a feasible
+    (n, l0), and a batch of 2-4 keys drawn from its full pools."""
+    chain = draw(st.booleans())
+    k = draw(st.integers(1, 3)) if chain else 3
+    logs: list[int] = []
+    for i in range(k):
+        # Each size is a power of 2 >= 2, and their product is at most 32.
+        logs.append(draw(st.integers(1, 5 - sum(logs) - (k - 1 - i))))
+    if chain:
+        b = parse_structure("/".join(str(1 << e) for e in logs))
+        l0 = draw(st.integers(min_value=0, max_value=4))
+        t = template_for(b, sum(logs) + l0, l0)
+    else:
+        l1, rp, cp = logs
+        b = parse_structure(f"{1 << l1}/({1 << rp}x{1 << cp})")
+        n1 = rp + l1 + draw(st.integers(min_value=0, max_value=2))
+        n2 = cp + l1 + draw(st.integers(min_value=0, max_value=2))
+        t = template_for(b, n1 + n2, n1 + n2 - rp - cp - l1, {"rows": n1, "cols": n2})
+    key = st.tuples(*(st.integers(0, (1 << s.width) - 1) for s in t.slots))
+    return t, draw(st.lists(key, min_size=2, max_size=4))
+
+
+@given(regular_batches())
+@settings(max_examples=100, deadline=None)
+def test_batch_counts_match_matrix_route(case):
+    t, batch = case
+    evaluator = RegularEvaluator(t, ())
+    strata = strata_projectors(t.structure)
+    counts = evaluator.counts(batch)
+    assert counts.shape == (len(batch), t.n, len(t.structure.names))
+    for fills, c in zip(batch, counts):
+        design = expand_design(GeneratorSet(t, fills))
+        assert c.tolist() == [list(row) for row in compute_Bki_matrix(design, strata).b]
+        # Row i of a batch is key i alone, as one tuple or a batch of one.
+        assert np.array_equal(evaluator.counts(fills), c)
+        assert np.array_equal(evaluator.counts([fills]), c[None])
+
+
 # Past the matrix route's 16-factor limit, the 2^n enumeration is the check.
 @pytest.mark.parametrize("n", [17, 18, 19])
 @pytest.mark.parametrize("seed", [0, 1, 2])

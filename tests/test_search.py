@@ -2,7 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from mastrat.blocks import (
     parse_structure,
     strata_projectors,
 )
+from mastrat.fixtures import latin16_structure
 from mastrat.keys import GeneratorSet, PoolMatrix, default_pools, template_for
 from mastrat.search import (
     EmptyCandidateSetError,
@@ -85,10 +86,8 @@ def test_mix_regular_zero_q_identity():
     _, t, pools, seq = blocked_setup()
     ev = RegularEvaluator(t, seq)
     x = Particle((1, 2, 3), ev.value((1, 2, 3)))
-    out = mix_regular(
-        x, x, x, t, pools, QVector(0, 0, 0), ev, np.random.default_rng(0)
-    )
-    assert out.pos == x.pos
+    out = mix_regular(x, x, x, t, pools, QVector(0, 0, 0), np.random.default_rng(0))
+    assert out == x.pos
 
 
 def test_mix_regular_swaps_toward_gb():
@@ -97,12 +96,12 @@ def test_mix_regular_swaps_toward_gb():
     x = Particle((1, 2, 3), ev.value((1, 2, 3)))
     gb = Particle((3, 1, 2), ev.value((3, 1, 2)))
     out = mix_regular(
-        x, gb, x, t, pools, QVector({"B": 2}, 0, 0), ev, np.random.default_rng(1)
+        x, gb, x, t, pools, QVector({"B": 2}, 0, 0), np.random.default_rng(1)
     )
-    changed = [i for i in range(3) if out.pos[i] != x.pos[i]]
+    changed = [i for i in range(3) if out[i] != x.pos[i]]
     assert len(changed) <= 2
-    assert all(out.pos[i] == gb.pos[i] for i in changed)
-    assert GeneratorSet(t, out.pos).is_invertible()
+    assert all(out[i] == gb.pos[i] for i in changed)
+    assert GeneratorSet(t, out).is_invertible()
 
 
 def test_move_adopts_better_candidate():
@@ -240,6 +239,23 @@ def test_oracle_keeps_no_memo():
     assert result == ((0, 0, 3, 7, 14), value, 36)
 
 
+def test_oracle_cross_check_blocked_n8():
+    # 3^3 * 26^3 = 474,552 fills on 8/4, all scored in batches.
+    b = parse_structure("8/4")
+    t = template_for(b, 8, 3)
+    pools = default_pools(t, True)
+    seq = criterion_sequence(b, "forward")
+    fills, value, ties = oracle_regular(t, pools, seq)
+    assert prod(len(pools[s.pool_key].rows) for s in t.slots) == 474_552
+    assert RegularEvaluator(t, seq).value(fills) == value and ties >= 1
+    hits = sum(
+        run_algorithm3(t, pools, seq, S=50, T=50, q=QVector(2, 1, 3), seed=s).value
+        == value
+        for s in range(1, 6)
+    )
+    assert hits >= 4, f"only {hits}/5 seeds reached the oracle optimum"
+
+
 # ----- nonregular problems -----
 
 def test_nonregular_problem_refuses_large_n():
@@ -343,6 +359,45 @@ def test_greedy_scores_match_definition_crossed(seed):
     check_greedy_scores(uneven, random_partial(rng, uneven, 8, 2), range(8))
 
 
+def test_greedy_scores_refuse_int64_overflow():
+    problem = NonregularProblem(BlockStructure.unstructured(8), 6, pool=range(64))
+    # Inflated weights put the guard's bound at 2^66, past int64.
+    problem._weights = problem._weights << 56
+    state = _PartialState(problem, [1, 2, 3, 4, 5, 6, 7, None])
+    with pytest.raises(OverflowError):
+        state.deltas([7], [9], +1)
+
+
+def test_greedy_score_bound_far_below_int64(monkeypatch):
+    # The problems of acceptance criteria 3-5.  A class never holds more
+    # than N units, so every scale divides lcm(1..N); the guard's bound at
+    # that scale is the largest a search on the problem can reach.
+    fish, _ = fish_patty_problem()
+    fish.set_sequence([("U",), ("U", "C"), ("U", "R"), ("U", "C", "R")])
+    problems = [
+        NonregularProblem(BlockStructure.unstructured(8), 7, pool=range(128)),
+        NonregularProblem(latin16_structure(), 6, pool=range(64), distinct=True),
+        fish,
+    ]
+    scales = []
+    deltas = _PartialState.deltas
+
+    def record(self, slots, values, sign):
+        rows, scale = deltas(self, slots, values, sign)
+        scales.append(scale)
+        return rows, scale
+
+    monkeypatch.setattr(_PartialState, "deltas", record)
+    for problem in problems:
+        N = problem.structure.N
+        top = lcm(*range(1, N + 1))
+        weight = int(np.abs(problem._weights).sum(1).max())
+        assert (2 * weight * N << problem.n) * top < 2**63 // 1000
+        scales.clear()
+        run_algorithm4(problem, problem.sequence, S=4, T=3, q=QVector(1, 1, 2), seed=1)
+        assert scales and all(top % s == 0 for s in scales)
+
+
 def test_nonregular_value_matches_matrix_route():
     from mastrat.aberration import compute_Bki_matrix
     from mastrat.blocks import strata_projectors
@@ -374,7 +429,7 @@ def test_mix_nonregular_zero_q_identity():
     a = (0, 1, 2, 3)
     p = Particle(a, prob.exact_value(a))
     out = mix_nonregular(p, p, p, prob, QVector(0, 0, 0), np.random.default_rng(0))
-    assert out.pos == a
+    assert out == a
 
 
 def test_mix_nonregular_q_exceeds_runs():
